@@ -104,24 +104,6 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _interval_masses(fam, prefix_by_m):
-    for M, (a, b) in enumerate(zip(fam.lower, fam.upper)):
-        lo, _, pre = prefix_by_m[M]
-        yield M, pre[b - lo + 1] - pre[a - lo]
-
-
-def _prefix_tables(p: Params):
-    out = []
-    for M in range(p.N + 1):
-        lo, hi = support(M, p)
-        w = weight_table(M, p)
-        pre = [0]
-        for x in w:
-            pre.append(pre[-1] + x)
-        out.append((lo, hi, pre))
-    return out
-
-
 def check_instance(cfg: dict, item: tuple) -> Tallies:
     """All pipeline checks for one (N, n, alpha) instance."""
     N, n, alpha = item
@@ -129,8 +111,15 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     tag = f"(N={N}, n={n}, alpha={alpha})"
     p = Params(N, n, alpha)
     bar = (1 - alpha) * p.total_weight
-    prefix = _prefix_tables(p)
+    rows = [oracle.prefix_row(M, p) for M in range(N + 1)]
     k = N // 2
+
+    def below_level(fam):
+        return [
+            M
+            for M, (a, b) in enumerate(zip(fam.lower, fam.upper))
+            if oracle.window_mass(rows[M], a, b) < bar
+        ]
 
     half = amo_half(p)
     adjusted, trace = adjust(half)
@@ -145,9 +134,7 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
         card, _, best = oracle.min_level_interval(M, p, alpha)
         cards.append(card)
         ours = half.length(M)
-        lo, _, pre = prefix[M]
-        a, b = half.interval(M)
-        mass = Fraction(pre[b - lo + 1] - pre[a - lo], p.total_weight)
+        mass = Fraction(oracle.window_mass(rows[M], *half.interval(M)), p.total_weight)
         if ours != card:
             t.hit("greedy-min-cardinality", 1, f"{tag} M={M}: got {ours}, oracle {card}")
         else:
@@ -177,7 +164,7 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     )
     ok = all(adjusted.length(M) == half.length(M) for M in range(k + 1))
     t.hit("shift-length-preserved", 1, None if ok else f"{tag} lengths changed")
-    bad = [M for M, m in _interval_masses(adjusted, prefix) if m < bar]
+    bad = below_level(adjusted)
     t.hit("shift-level-preserved", 1, None if not bad else f"{tag} M={bad[:3]}")
     t.metric_max("shift-metrics", "max_delta", trace.max_shift, tag)
 
@@ -197,12 +184,12 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
 
     # symmetrized family: reflection, monotonicity (constructor-checked),
     # level at every M, and mirrored lengths
-    bad = [M for M, m in _interval_masses(sym, prefix) if m < bar]
+    bad = below_level(sym)
     ok = not bad and all(sym.length(M) == sym.length(N - M) for M in range(N + 1))
     t.hit("family-level", 1, None if ok else f"{tag} symmetrized level/length {bad[:3]}")
 
     refl = reflect_full(half)
-    bad = [M for M, m in _interval_masses(refl, prefix) if m < bar]
+    bad = below_level(refl)
     t.hit("reflect-level", 1, None if not bad else f"{tag} M={bad[:3]}")
 
     # inversion: duality round trips, total-size double count, endpoints
@@ -238,9 +225,8 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
             prev_up = -1
             prev_low = None
             for M in range(N + 1):
-                lo, hi, pre = prefix[M]
-                up = pre[-1] - pre[min(max(x - lo, 0), hi - lo + 1)]
-                low = pre[min(max(x + 1 - lo, 0), hi - lo + 1)]
+                up = oracle.window_mass(rows[M], x, n)
+                low = oracle.window_mass(rows[M], 0, x)
                 if up < prev_up or (prev_low is not None and low > prev_low):
                     mono = False
                 prev_up, prev_low = up, low
@@ -252,16 +238,8 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     bound_set = bound_int
     if N % 2 == 0:
         sym_set = oracle.min_symmetric_set_size(p, alpha)
-        lo, hi = support(k, p)
-        _, _, pre = prefix[k]
-        best = None
-        for c in range(n // 2, -1, -1):
-            a, b = max(c, lo), min(n - c, hi)
-            if pre[b - lo + 1] - pre[a - lo] >= bar:
-                best = n - 2 * c + 1
-                break
         bound_set += sym_set - cards[k]
-        bound_int += best - cards[k]
+        bound_int += oracle.min_center_length(rows[k], n, bar) - cards[k]
     size = tbl.total_size
     gap = size - bound_set
     if gap not in (0, 1):
@@ -291,7 +269,7 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
     t = Tallies()
     tag = f"(N={N}, n={n})"
     p = Params(N, n, 0.5)  # alpha unused by these checks
-    prefix = _prefix_tables(p)
+    rows = [oracle.prefix_row(M, p) for M in range(N + 1)]
     weights = [weight_table(M, p) for M in range(N + 1)]
     supports = [support(M, p) for M in range(N + 1)]
     property_cap = N <= cfg["property_cap"]
@@ -343,19 +321,11 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
         # difference identity for interval masses at adjacent M
         ok = True
         for M in range(N):
-            _, _, pre = prefix[M]
-            _, _, pre2 = prefix[M + 1]
-            lo, hi = supports[M]
-            lo2, hi2 = supports[M + 1]
-
-            def mass(prei, loi, hii, a, b):
-                a, b = max(a, loi), min(b, hii)
-                return 0 if a > b else prei[b - loi + 1] - prei[a - loi]
-
             for a in range(n + 1):
                 for b in range(a, n + 1):
                     lhs = (N - M) * (
-                        mass(pre2, lo2, hi2, a, b) - mass(pre, lo, hi, a, b)
+                        oracle.window_mass(rows[M + 1], a, b)
+                        - oracle.window_mass(rows[M], a, b)
                     )
                     rhs = (n - a + 1) * w_of(M, a - 1) - (n - b) * w_of(M, b)
                     ok = ok and lhs == rhs
@@ -381,17 +351,12 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
                 if b - a >= n:
                     continue
                 peak = oracle.unimodal_peak(a, b, p)
-
-                def mass_at(M):
-                    lo, hi = supports[M]
-                    _, _, pre = prefix[M]
-                    aa, bb = max(a, lo), min(b, hi)
-                    return 0 if aa > bb else pre[bb - lo + 1] - pre[aa - lo]
-
                 for M in range(N):
-                    if M < peak and mass_at(M + 1) < mass_at(M):
+                    here = oracle.window_mass(rows[M], a, b)
+                    there = oracle.window_mass(rows[M + 1], a, b)
+                    if M < peak and there < here:
                         ok = False
-                    if M >= peak and mass_at(M + 1) > mass_at(M):
+                    if M >= peak and there > here:
                         ok = False
         t.hit("interval-peak-shape", 1, None if ok else f"{tag} peak shape broken")
 
@@ -414,14 +379,8 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
                     if peaks[(a, b)] > right:
                         ok = False
                     for M in range(right, N + 1):
-                        lo, hi = supports[M]
-                        _, _, pre = prefix[M]
-
-                        def mass(aa, bb):
-                            aa, bb = max(aa, lo), min(bb, hi)
-                            return 0 if aa > bb else pre[bb - lo + 1] - pre[aa - lo]
-
-                        if mass(a, b) > mass(a + d, b + d):
+                        mass = oracle.window_mass(rows[M], a, b)
+                        if mass > oracle.window_mass(rows[M], a + d, b + d):
                             ok = False
         t.hit("peak-shift", 1, None if ok else f"{tag} shift property broken")
 
@@ -443,7 +402,7 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
             lo, hi = supports[M]
             w = weights[M]
             size = hi - lo + 1
-            _, _, pre = prefix[M]
+            _, _, pre = rows[M]
             best_window = [
                 max(pre[s + length] - pre[s] for s in range(size - length + 1))
                 for length in range(1, size + 1)

@@ -7,7 +7,9 @@ pivotal baseline over a list of n), certify (exact small-grid checks).
 Output is CSV by default (tsv/pretty available); a total-size footer is
 deterministic, the timing footer is not and can be suppressed with
 --no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error.
-Worker count for the sweeps comes from HYPERCI_WORKERS.
+Worker count for the sweeps comes from HYPERCI_WORKERS (a nonnegative
+integer, capped at the CPU count). Alpha is a decimal (a float) or a
+fraction such as 3/5 (an exact rational).
 """
 
 from __future__ import annotations
@@ -19,37 +21,46 @@ import time
 from fractions import Fraction
 
 from .certify import DEFAULT_ALPHAS, run_certification
-from .core import Params
+from .core import AlphaLike, Params
 from .invert import ConfidenceTable, coverage, cstar_table, table_to_csv
 from .parallel import pmap
 from .pivot import pivot_table
 
 
 def _workers() -> int:
-    try:
-        return int(os.environ.get("HYPERCI_WORKERS", "0"))
-    except ValueError:
-        return 0
+    """HYPERCI_WORKERS as a worker count, capped at the CPU count; 0 if unset."""
+    text = os.environ.get("HYPERCI_WORKERS", "").strip() or "0"
+    if not text.isdecimal():
+        raise ValueError(f"HYPERCI_WORKERS must be a nonnegative integer, got {text!r}")
+    return min(int(text), os.cpu_count() or 1)
 
 
 def _params(args) -> Params:
     return Params(args.N, args.n, args.alpha)
 
 
-def _alpha_arg(text: str) -> float:
+def _alpha_arg(text: str) -> AlphaLike:
     try:
-        value = float(text)
-    except ValueError:
+        value = Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {text}")
     return value
 
 
-def _build(p: Params, method: str) -> ConfidenceTable:
-    if method == "pivot":
+def _build(args, p: Params) -> ConfidenceTable:
+    if args.method == "pivot":
         return pivot_table(p)
-    return cstar_table(p, workers=_workers())
+    return cstar_table(p, workers=args.workers)
+
+
+def _write(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, lines: list) -> None:
@@ -65,19 +76,14 @@ def _emit(args, lines: list) -> None:
         )
     else:
         text = "\n".join(sep.join(row) for row in lines)
-    text += "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text + "\n")
 
 
 def cmd_ci(args) -> int:
     p = _params(args)
     if not 0 <= args.x <= p.n:
         raise ValueError(f"x must be in [0, {p.n}], got {args.x}")
-    tbl = _build(p, args.method)
+    tbl = _build(args, p)
     low, high = tbl.interval(args.x)
     print(f"[{low}, {high}]")
     return 0
@@ -86,32 +92,21 @@ def cmd_ci(args) -> int:
 def cmd_table(args) -> int:
     p = _params(args)
     start = time.perf_counter()
-    tbl = _build(p, args.method)
+    tbl = _build(args, p)
     elapsed = time.perf_counter() - start
-    sep = {"csv": ",", "tsv": "\t"}.get(args.format, ",")
-    text = table_to_csv(tbl, None if args.no_timing else elapsed, sep=sep)
-    if args.format == "pretty":
-        rows = [
-            line if line.startswith("#") else "  ".join(c.rjust(5) for c in line.split(sep))
-            for line in text.splitlines()
-        ]
-        text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    text = table_to_csv(tbl, None if args.no_timing else elapsed)
+    _emit(args, [[l] if l.startswith("#") else l.split(",") for l in text.splitlines()])
     return 0
 
 
 def cmd_coverage(args) -> int:
     p = _params(args)
-    tbl = _build(p, args.method)
+    tbl = _build(args, p)
     lines = [
         [f"# hyperci coverage N={p.N} n={p.n} alpha={p.alpha} method={args.method}"],
         ["M", "coverage"],
     ]
-    values = pmap(coverage, tbl, range(p.N + 1), _workers())
+    values = pmap(coverage, tbl, range(p.N + 1), args.workers)
     for M, cov in enumerate(values):
         lines.append([str(M), f"{cov:.12f}"])
     _emit(args, lines)
@@ -138,7 +133,7 @@ def cmd_compare(args) -> int:
         [f"# hyperci compare N={args.N} alpha={args.alpha}"],
         ["n", "size_cstar", "size_pivot", "diff", "time_cstar_ms", "time_pivot_ms"],
     ]
-    rows = pmap(_compare_one, (args.N, args.alpha), ns, _workers())
+    rows = pmap(_compare_one, (args.N, args.alpha), ns, args.workers)
     for n, size_cstar, size_pivot, t_cstar, t_pivot in rows:
         t1 = "0.000" if args.no_timing else f"{t_cstar:.3f}"
         t2 = "0.000" if args.no_timing else f"{t_pivot:.3f}"
@@ -156,14 +151,9 @@ def cmd_certify(args) -> int:
         max_population=args.max_N,
         alphas=alphas,
         populations=populations,
-        workers=_workers(),
+        workers=args.workers,
     )
-    text = report.render()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, report.render())
     return 0 if report.ok else 1
 
 
@@ -181,7 +171,10 @@ def _add_common(sub, with_n=True, with_method=True):
     sub.add_argument("--N", type=int, required=True, help="population size")
     if with_n:
         sub.add_argument("--n", type=int, required=True, help="sample size")
-    sub.add_argument("--alpha", type=_alpha_arg, required=True, help="error level in (0, 1)")
+    sub.add_argument(
+        "--alpha", type=_alpha_arg, required=True,
+        help="error level in (0, 1): a decimal, or an exact fraction such as 3/5",
+    )
     if with_method:
         sub.add_argument(
             "--method", choices=["cstar", "pivot"], default="cstar",
@@ -241,6 +234,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.workers = _workers()
         return args.fn(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

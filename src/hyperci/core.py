@@ -3,16 +3,20 @@
 Everything is grounded in integer weights ``C(M,x)*C(N-M,n-x)``, which sum
 to ``C(N,n)`` over the support for every M:
 
+* exact window and tail masses come from two kernels: ``interval_weight``
+  (the integer weight sum over [a, b]) and ``lower_quantile`` (the
+  smallest x whose lower tail exceeds a threshold); both step through
+  only the points they need;
 * probabilities (``pmf``, ``lower_tail``, ``interval_prob``) sum weights
   exactly and round once at the final division, so a reported value is the
   correctly rounded double of the true rational (a full-support sum is
   exactly 1.0);
-* threshold decisions (``attains_level``, ``weight_exceeds``) compare the
-  integer weight sums against the exact integer ratio of alpha, never a
-  rounded double; pass alpha as a ``fractions.Fraction`` for an exact
-  rational level, or as a float to use that double's exact binary value;
-* ``log_pmf`` serves log-scale queries from a precomputed log-factorial
-  table with O(1) evaluations.
+* threshold decisions (``attains_level``, ``weight_exceeds``,
+  ``lower_quantile``) compare integer weight sums against the exact integer
+  ratio of alpha, never a rounded double; pass alpha as a
+  ``fractions.Fraction`` for an exact rational level, or as a float to use
+  that double's exact binary value;
+* ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
 """
 
 from __future__ import annotations
@@ -38,14 +42,13 @@ class Support(NamedTuple):
 class Params:
     """A problem instance: population N, sample size n, error level alpha.
 
-    Immutable; the log-factorial table (length N+1) and the total draw count
-    C(N, n) are precomputed once so all kernel calls are O(1) or O(length).
+    Immutable; the total draw count C(N, n) and the integer ratio of alpha
+    are precomputed once, so threshold tests never recompute them.
     """
 
     N: int
     n: int
     alpha: AlphaLike
-    _log_fact: tuple = field(init=False, repr=False, compare=False)
     _total_weight: int = field(init=False, repr=False, compare=False)
     _alpha_ratio: tuple = field(init=False, repr=False, compare=False)
 
@@ -58,14 +61,8 @@ class Params:
             raise ValueError(f"need 0 < n <= N, got n={self.n}, N={self.N}")
         if not 0 < self.alpha < 1:
             raise ValueError(f"need 0 < alpha < 1, got {self.alpha!r}")
-        table = tuple(math.lgamma(k + 1) for k in range(self.N + 1))
-        object.__setattr__(self, "_log_fact", table)
         object.__setattr__(self, "_total_weight", math.comb(self.N, self.n))
         object.__setattr__(self, "_alpha_ratio", self.alpha.as_integer_ratio())
-
-    def __reduce__(self):
-        # rebuild the cached tables on unpickle instead of shipping them
-        return (Params, (self.N, self.n, self.alpha))
 
     @property
     def total_weight(self) -> int:
@@ -100,11 +97,14 @@ def log_pmf(M: int, x: int, p: Params) -> float:
     lo, hi = support(M, p)
     if x < lo or x > hi:
         return NEG_INF
-    lf = p._log_fact
+
+    def lf(k):
+        return math.lgamma(k + 1)
+
     N, n = p.N, p.n
-    t_pop = lf[M] + lf[N - M]
-    t_split = (lf[x] + lf[M - x]) + (lf[n - x] + lf[N - M - n + x])
-    t_const = lf[N] - lf[n] - lf[N - n]
+    t_pop = lf(M) + lf(N - M)
+    t_split = (lf(x) + lf(M - x)) + (lf(n - x) + lf(N - M - n + x))
+    t_const = lf(N) - lf(n) - lf(N - n)
     return (t_pop - t_split) - t_const
 
 
@@ -120,19 +120,7 @@ def interval_prob(M: int, a: int, b: int, p: Params) -> float:
     accumulation error at any term ordering) and divided once, so the
     result is the correctly rounded double of the true probability.
     """
-    p.check_m(M)
-    if a > b:
-        return 0.0
-    lo, hi = support(M, p)
-    a, b = max(a, lo), min(b, hi)
-    if a > b:
-        return 0.0
-    w = weight(M, a, p)
-    total = w
-    for x in range(a, b):
-        w = step_up(w, M, x, p)
-        total += w
-    return total / p.total_weight
+    return interval_weight(M, a, b, p) / p.total_weight
 
 
 def lower_tail(M: int, x: int, p: Params) -> float:
@@ -168,6 +156,45 @@ def weight_table(M: int, p: Params) -> list:
     return out
 
 
+def interval_weight(M: int, a: int, b: int, p: Params) -> int:
+    """Exact weight sum over [a, b] clipped to the support; 0 when empty.
+
+    Starts from the weight at a and steps up to b, so the cost is the
+    window's length, not the support's.
+    """
+    lo, hi = support(M, p)
+    a, b = max(a, lo), min(b, hi)
+    if a > b:
+        return 0
+    w = total = weight(M, a, p)
+    for x in range(a, b):
+        w = step_up(w, M, x, p)
+        total += w
+    return total
+
+
+def lower_quantile(M: int, threshold: AlphaLike, p: Params) -> int:
+    """Smallest x with P_M(X <= x) > threshold, for threshold < 1.
+
+    Steps up from the bottom of the support and stops at the answer; the
+    comparison is an exact integer test against threshold's integer ratio.
+    """
+    num, den = threshold.as_integer_ratio()
+    bar = num * p.total_weight  # the tail weight must exceed bar / den
+    lo, hi = support(M, p)
+    N, n = p.N, p.n
+    x = lo
+    w = cum = weight(M, lo, p)
+    while cum * den <= bar:
+        if x == hi:
+            raise ValueError(f"P_M(X <= x) never exceeds {threshold} at M={M}")
+        # step_up inlined: pivot_table runs this loop for every M
+        w = w * (M - x) * (n - x) // ((x + 1) * (N - M - n + x + 1))
+        x += 1
+        cum += w
+    return x
+
+
 def step_up(w: int, M: int, x: int, p: Params) -> int:
     """Weight at x+1 from the weight at x (x+1 must stay in the support)."""
     return w * (M - x) * (p.n - x) // ((x + 1) * (p.N - M - p.n + x + 1))
@@ -188,8 +215,3 @@ def weight_exceeds(weight_sum: int, threshold: AlphaLike, p: Params) -> bool:
     """Exact test of weight_sum / C(N,n) > threshold."""
     num, den = threshold.as_integer_ratio()
     return weight_sum * den > num * p.total_weight
-
-
-def weight_at_most(weight_sum: int, threshold: AlphaLike, p: Params) -> bool:
-    """Exact test of weight_sum / C(N,n) <= threshold."""
-    return not weight_exceeds(weight_sum, threshold, p)

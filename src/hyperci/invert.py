@@ -153,7 +153,7 @@ def table_from_csv(text: str) -> ConfidenceTable:
     meta = {}
     rows = []
     total = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -169,7 +169,13 @@ def table_from_csv(text: str) -> ConfidenceTable:
         cells = line.replace("\t", ",").split(",")
         if cells[0] == "x":
             continue
-        rows.append((int(cells[0]), int(cells[1]), int(cells[2])))
+        try:
+            x, low, high = (int(c) for c in cells)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected a row of three integers x,L,U, got {line!r}"
+            ) from None
+        rows.append((x, low, high))
     if not meta:
         raise ValueError("missing metadata header line")
     alpha_text = meta["alpha"]

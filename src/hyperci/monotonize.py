@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acceptance import AcceptanceFamily, Stage
-from .core import Params, attains_level, support, weight_at_most, weight_table
+from .core import Params, attains_level, interval_weight, lower_quantile
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,6 @@ class AdjustmentTrace:
         return max(self.delta) if self.delta else 0
 
 
-def _family_weight_sums(fam: AcceptanceFamily) -> list:
-    sums = []
-    for M, (a, b) in enumerate(zip(fam.lower, fam.upper)):
-        lo, _ = support(M, fam.params)
-        w = weight_table(M, fam.params)
-        sums.append(sum(w[a - lo : b - lo + 1]))
-    return sums
-
-
 def adjust(half: AcceptanceFamily) -> tuple:
     """Monotonize a raw half-family; returns (adjusted family, trace).
 
@@ -56,7 +47,8 @@ def adjust(half: AcceptanceFamily) -> tuple:
     lengths, stay level alpha, and both endpoint sequences are nondecreasing.
     """
     p = half.params
-    for M, mass in enumerate(_family_weight_sums(half)):
+    for M, (a, b) in enumerate(zip(half.lower, half.upper)):
+        mass = interval_weight(M, a, b, p)
         if not attains_level(mass, p):
             raise ValueError(
                 f"input family is not level alpha at M={M}: "
@@ -116,25 +108,16 @@ def adjust(half: AcceptanceFamily) -> tuple:
 def center_interval(p: Params, raw_center: tuple) -> tuple:
     """Shortest symmetric level-alpha interval [h, n-h] at M = N/2 (N even).
 
-    h = max{x in [0..n] : P_{N/2}(X < x) <= alpha/2}, found by an exact
-    cumulative-weight scan of the lower tail. The shortcut
+    h = max{x in [0..n] : P_{N/2}(X < x) <= alpha/2}, which is the smallest
+    x with P_{N/2}(X <= x) > alpha/2, found by an exact lower-tail scan
+    that stops there. The shortcut
     h = min(a_{N/2}, n - b_{N/2}) must agree whenever raw_center is a
     minimum-cardinality interval of maximal mass, and is asserted as a
     cross-check.
     """
     if p.N % 2:
         raise ValueError(f"center interval needs even N, got N={p.N}")
-    M = p.N // 2
-    half_alpha = p.alpha / 2
-    lo, hi = support(M, p)
-    w = weight_table(M, p)
-    h = 0
-    cum = 0
-    for x in range(1, p.n + 1):
-        if lo <= x - 1 <= hi:
-            cum += w[x - 1 - lo]
-        if weight_at_most(cum, half_alpha, p):
-            h = x
+    h = lower_quantile(p.N // 2, p.alpha / 2, p)
     if h > p.n // 2:
         raise AssertionError(f"tail scan produced h={h} > n/2; corrupt kernels")
     shortcut = min(raw_center[0], p.n - raw_center[1])

@@ -5,11 +5,17 @@ alpha as an explicit Fraction, never as a converted double, so "within
 level" and "larger probability" are unambiguous. The searches are
 deliberately naive (window scans, subset enumeration) and capped at
 N <= 200: they certify the fast pipeline, they do not replace it.
+
+Window masses come from per-M prefix rows (``prefix_row``, ``window_mass``)
+built from the full weight table, independently of the production
+kernels ``interval_weight`` and ``lower_quantile``, so verification checks
+those kernels rather than reusing them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import Params, support, weight, weight_table
 from .invert import ConfidenceTable
@@ -30,25 +36,31 @@ def _check_cap(p: Params) -> None:
         raise ValueError(f"oracle capped at N <= {N_CAP}, got N={p.N}")
 
 
-def _prefix(ws: list) -> list:
-    out = [0]
-    for w in ws:
-        out.append(out[-1] + w)
-    return out
+def prefix_row(M: int, p: Params) -> tuple:
+    """(lo, hi, prefix) with prefix[i] the weight sum over [lo, lo + i)."""
+    lo, hi = support(M, p)
+    return (lo, hi, list(accumulate(weight_table(M, p), initial=0)))
+
+
+def window_mass(row: tuple, a: int, b: int) -> int:
+    """Weight sum over [a, b] clipped to the row's support; 0 when empty."""
+    lo, hi, pre = row
+    a, b = max(a, lo), min(b, hi)
+    return pre[b - lo + 1] - pre[a - lo] if a <= b else 0
+
+
+def min_center_length(row: tuple, n: int, bar) -> int:
+    """Length n - 2c + 1 of the shortest [c, n - c] whose mass reaches bar."""
+    for c in range(n // 2, -1, -1):
+        if window_mass(row, c, n - c) >= bar:
+            return n - 2 * c + 1
+    raise AssertionError("full support failed the level; corrupt kernels")
 
 
 def exact_interval_prob(M: int, a: int, b: int, p: Params) -> Fraction:
     """P_M(a <= X <= b) as an exact rational."""
     _check_cap(p)
-    p.check_m(M)
-    if a > b:
-        return Fraction(0)
-    lo, hi = support(M, p)
-    a, b = max(a, lo), min(b, hi)
-    if a > b:
-        return Fraction(0)
-    w = weight_table(M, p)
-    return Fraction(sum(w[a - lo : b - lo + 1]), p.total_weight)
+    return Fraction(window_mass(prefix_row(M, p), a, b), p.total_weight)
 
 
 def min_level_interval(M: int, p: Params, alpha: Fraction) -> tuple:
@@ -60,10 +72,7 @@ def min_level_interval(M: int, p: Params, alpha: Fraction) -> tuple:
     """
     _check_cap(p)
     alpha = _require_fraction(alpha)
-    p.check_m(M)
-    lo, hi = support(M, p)
-    w = weight_table(M, p)
-    pre = _prefix(w)
+    lo, hi, pre = prefix_row(M, p)
     bar = (1 - alpha) * p.total_weight
     size = hi - lo + 1
     for length in range(1, size + 1):
@@ -83,11 +92,9 @@ def min_level_interval(M: int, p: Params, alpha: Fraction) -> tuple:
 def max_prob_interval(M: int, p: Params, length: int) -> tuple:
     """Highest-mass window of the given length: (interval, probability)."""
     _check_cap(p)
-    lo, hi = support(M, p)
+    lo, hi, pre = prefix_row(M, p)
     if not 1 <= length <= hi - lo + 1:
         raise ValueError(f"length must be in [1, {hi - lo + 1}], got {length}")
-    w = weight_table(M, p)
-    pre = _prefix(w)
     best = -1
     best_at = 0
     for start in range(hi - lo + 2 - length):
@@ -197,19 +204,8 @@ def min_interval_class_total(p: Params, alpha: Fraction) -> int:
     total = sum(half) + sum(half[: (p.N + 1) // 2])
     if p.N % 2 == 0:
         M = p.N // 2
-        lo, hi = support(M, p)
-        w = weight_table(M, p)
-        pre = _prefix(w)
         bar = (1 - alpha) * p.total_weight
-        best = None
-        for c in range(p.n // 2, -1, -1):
-            a, b = max(c, lo), min(p.n - c, hi)
-            if pre[b - lo + 1] - pre[a - lo] >= bar:
-                best = p.n - 2 * c + 1
-                break
-        if best is None:
-            raise AssertionError("full support failed the level; corrupt kernels")
-        total += best - half[M]
+        total += min_center_length(prefix_row(M, p), p.n, bar) - half[M]
     return total
 
 

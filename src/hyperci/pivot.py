@@ -9,21 +9,16 @@ tests against the threshold's integer ratio.
 
 from __future__ import annotations
 
-from .core import Params, support, weight_exceeds, weight_table
+from .core import Params, interval_weight, lower_quantile, support, weight_exceeds
 from .invert import ConfidenceTable, Method
 
 
 def _upper_tail_weight(M: int, x: int, p: Params) -> int:
     """Integer numerator of P_M(X >= x), summed from the cheaper end."""
     lo, hi = support(M, p)
-    if x <= lo:
-        return p.total_weight
-    if x > hi:
-        return 0
-    w = weight_table(M, p)
     if x - lo <= hi - x + 1:
-        return p.total_weight - sum(w[: x - lo])
-    return sum(w[x - lo :])
+        return p.total_weight - interval_weight(M, lo, x - 1, p)
+    return interval_weight(M, x, hi, p)
 
 
 def _lower_tail_weight(M: int, x: int, p: Params) -> int:
@@ -90,21 +85,10 @@ def pivot_table(p: Params) -> ConfidenceTable:
     """
     half_alpha = p.alpha / 2
     N, n = p.N, p.n
-    num, den = half_alpha.as_integer_ratio()
-    bar = num * p.total_weight  # tail weight must exceed bar / den
     thresholds = []
     prev = 0
     for M in range(N + 1):
-        lo, _ = support(M, p)
-        w = weight_table(M, p)
-        cum = 0
-        for i, wi in enumerate(w):
-            cum += wi
-            if cum * den > bar:
-                x_t = lo + i
-                break
-        else:
-            raise AssertionError("tail never exceeded alpha/2; corrupt kernels")
+        x_t = lower_quantile(M, half_alpha, p)
         if x_t < prev:
             raise AssertionError("tail quantiles not monotone in M")
         prev = x_t

@@ -7,13 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from hyperci import Params, cstar_table, pivot_table, run_certification
-
-
-def grid_workers() -> int:
-    try:
-        return int(os.environ.get("HYPERCI_WORKERS", "0"))
-    except ValueError:
-        return 0
+from hyperci.cli import _workers
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +29,6 @@ def pivot500(p500):
 def certification():
     """Full exact-grid certification run, shared by the acceptance tests."""
     start = time.perf_counter()
-    report = run_certification(max_population=40, workers=grid_workers())
+    report = run_certification(max_population=40, workers=_workers())
     elapsed = time.perf_counter() - start
     return report, elapsed

@@ -1,7 +1,10 @@
 import re
+from fractions import Fraction
 
 import pytest
 
+from hyperci import Params, cstar_table
+from hyperci import cli
 from hyperci.cli import main
 from hyperci.invert import table_from_csv
 
@@ -43,6 +46,20 @@ class TestCi:
         with pytest.raises(SystemExit) as exc:
             main(["ci", "--N", "20", "--n", "6", "--x", "3", "--alpha", "1.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("alpha", ["5/3", "3/0", "x/5"])
+    def test_bad_fraction_alpha_exits_2(self, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["ci", "--N", "20", "--n", "6", "--x", "3", "--alpha", alpha])
+        assert exc.value.code == 2
+
+    def test_fraction_alpha_is_exact(self, capsys):
+        code, out, _ = run(
+            capsys, "ci", "--N", "20", "--n", "6", "--x", "3", "--alpha", "3/5"
+        )
+        assert code == 0
+        want = cstar_table(Params(20, 6, Fraction(3, 5))).interval(3)
+        assert out.strip() == f"[{want[0]}, {want[1]}]"
 
 
 class TestTable:
@@ -125,6 +142,35 @@ class TestTable:
             "--format", "pretty", "--no-timing",
         )
         assert "x" in out and "18" in out
+
+    def test_pretty_columns_align_with_six_digit_values(self, capsys):
+        _, out, _ = run(
+            capsys, "table", "--N", "100000", "--n", "3", "--alpha", "0.05",
+            "--method", "pivot", "--format", "pretty", "--no-timing",
+        )
+        rows = [l for l in out.splitlines() if not l.startswith("#")]
+        assert rows[-1].split() == ["3", "29241", "100000"]
+        cell_ends = {tuple(m.end() for m in re.finditer(r"\S+", r)) for r in rows}
+        assert len(cell_ends) == 1
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+    def test_bad_value_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HYPERCI_WORKERS", value)
+        code, out, err = run(capsys, "ci", "--N", "20", "--n", "6", "--x", "3", "--alpha", "0.6")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "HYPERCI_WORKERS" in err
+
+    @pytest.mark.parametrize("value,want", [(None, 0), ("", 0), ("1", 1), ("3", 3), ("64", 4)])
+    def test_count_capped_at_cpus(self, monkeypatch, value, want):
+        if value is None:
+            monkeypatch.delenv("HYPERCI_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("HYPERCI_WORKERS", value)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli._workers() == want
 
 
 class TestCoverage:

@@ -9,7 +9,9 @@ from hyperci.core import (
     Params,
     attains_level,
     interval_prob,
+    interval_weight,
     log_pmf,
+    lower_quantile,
     lower_tail,
     mode,
     pmf,
@@ -237,3 +239,50 @@ def test_weight_table_matches_direct_combinations(data):
     table = weight_table(M, p)
     assert table == [weight(M, x, p) for x in range(lo, hi + 1)]
     assert sum(table) == p.total_weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_interval_weight_matches_table_slice(data):
+    N = data.draw(st.integers(1, 80))
+    n = data.draw(st.integers(1, N))
+    M = data.draw(st.integers(0, N))
+    p = Params(N, n, 0.31)
+    a = data.draw(st.integers(-3, n + 3))
+    b = data.draw(st.integers(-3, n + 3))
+    lo, hi = support(M, p)
+    table = weight_table(M, p)
+    want = sum(table[x - lo] for x in range(max(a, lo), min(b, hi) + 1))
+    assert interval_weight(M, a, b, p) == want
+    assert interval_weight(M, -1, n + 1, p) == p.total_weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lower_quantile_matches_prefix_scan(data):
+    N = data.draw(st.integers(1, 80))
+    n = data.draw(st.integers(1, N))
+    M = data.draw(st.integers(0, N))
+    p = Params(N, n, 0.31)
+    num = data.draw(st.integers(0, 99))
+    threshold = data.draw(st.sampled_from([Fraction(num, 100), num / 100]))
+    lo, _ = support(M, p)
+    cum = 0
+    for x, w in enumerate(weight_table(M, p), lo):
+        cum += w
+        if Fraction(cum, p.total_weight) > threshold:
+            break
+    assert lower_quantile(M, threshold, p) == x
+
+
+def test_lower_quantile_exact_at_a_tie():
+    # P_10(X <= 1) = 2730 / 38760 exactly: the tail must exceed it, not reach it
+    p = Params(20, 6, 0.5)
+    tie = Fraction(2730, 38760)
+    assert lower_quantile(10, tie, p) == 2
+    assert lower_quantile(10, tie - Fraction(1, 10**9), p) == 1
+
+
+def test_lower_quantile_rejects_unreachable_threshold():
+    with pytest.raises(ValueError):
+        lower_quantile(10, 1, Params(20, 6, 0.5))

@@ -202,3 +202,9 @@ class TestCsvRoundTrip:
         text = table_to_csv(tbl).replace("total_size: 33", "total_size: 34")
         with pytest.raises(ValueError, match="total_size"):
             table_from_csv(text)
+
+    @pytest.mark.parametrize("bad_row", ["3,7", "3,7,x", "3,7,13,0"])
+    def test_malformed_row_names_its_line(self, bad_row):
+        text = table_to_csv(cstar_table(Params(20, 6, 0.6))).replace("3,7,13", bad_row)
+        with pytest.raises(ValueError, match="line 6"):
+            table_from_csv(text)
