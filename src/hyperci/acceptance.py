@@ -14,15 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import (
-    Params,
-    attains_level,
-    mode,
-    step_down,
-    step_up,
-    support,
-    weight,
-)
+from .core import Params, mode, step_m, step_up, weight
 from .parallel import pmap
 
 
@@ -44,8 +36,10 @@ class AcceptanceFamily:
     def __post_init__(self):
         if len(self.lower) != len(self.upper) or not self.lower:
             raise ValueError("lower/upper must be nonempty and equally long")
+        N, n = self.params.N, self.params.n
+        self.params.check_m(len(self.lower) - 1)
         for M, (a, b) in enumerate(zip(self.lower, self.upper)):
-            lo, hi = support(M, self.params)
+            lo, hi = max(0, M + n - N), min(M, n)
             if not lo <= a <= b <= hi:
                 raise ValueError(
                     f"interval [{a}, {b}] at M={M} leaves the support [{lo}, {hi}]"
@@ -77,34 +71,70 @@ class AcceptanceFamily:
         return sum(b - a + 1 for a, b in zip(self.lower, self.upper))
 
 
-def _greedy_interval(p: Params, M: int) -> tuple:
-    """Smallest level-alpha interval of maximal mass for one M."""
-    lo, hi = support(M, p)
+def _greedy_interval(p: Params, M: int, w_mode: int) -> tuple:
+    """Smallest level-alpha interval of maximal mass for one M.
+
+    w_mode is the weight at mode(M, p); step_up/step_down are inlined and
+    the stopping rule is attains_level against a precomputed bar.
+    """
+    N, n = p.N, p.n
+    num, den = p._alpha_ratio
+    bar = (den - num) * p.total_weight  # the mass must reach bar / den
+    lo, hi = max(0, M + n - N), min(M, n)
+    s = N - M - n
     c = d = mode(M, p)
-    w_mid = weight(M, c, p)
-    w_left = step_down(w_mid, M, c, p) if c > lo else 0
-    w_right = step_up(w_mid, M, d, p) if d < hi else 0
-    mass = w_mid
-    while not attains_level(mass, p):
+    w_left = w_mode * c * (s + c) // ((M - c + 1) * (n - c + 1)) if c > lo else 0
+    w_right = w_mode * (M - d) * (n - d) // ((d + 1) * (s + d + 1)) if d < hi else 0
+    mass = w_mode
+    while mass * den < bar:
         if w_right > w_left:
             d += 1
             mass += w_right
-            w_right = step_up(w_right, M, d, p) if d < hi else 0
+            w_right = w_right * (M - d) * (n - d) // ((d + 1) * (s + d + 1)) if d < hi else 0
         else:
             c -= 1
             mass += w_left
-            w_left = step_down(w_left, M, c, p) if c > lo else 0
+            w_left = w_left * c * (s + c) // ((M - c + 1) * (n - c + 1)) if c > lo else 0
     return (c, d)
+
+
+def _greedy_block(p: Params, ms: range) -> list:
+    """Greedy intervals for contiguous M, carrying the weight at the mode.
+
+    The mode moves up by at most 1 per M, so the carried weight follows it
+    with one step_m and at most one step_up; it is reseeded from weight()
+    only when the old mode falls below the new support.
+    """
+    N, n = p.N, p.n
+    c = mode(ms[0], p)
+    w = weight(ms[0], c, p)
+    out = []
+    for M in ms:
+        if M > ms[0]:
+            new_c = mode(M, p)
+            if c < M + n - N:
+                w = weight(M, new_c, p)
+            else:
+                w = step_m(w, M - 1, c, p)
+                if new_c > c:
+                    w = step_up(w, M, c, p)
+            c = new_c
+        out.append(_greedy_interval(p, M, w))
+    return out
 
 
 def amo_half(p: Params, workers: int = 0) -> AcceptanceFamily:
     """Acceptance intervals for M = 0..floor(N/2), stage RAW.
 
-    Per-M computations are independent; with workers > 1 they are mapped
-    over a process pool, with output identical to the sequential order.
+    The M range is cut into contiguous blocks, each swept by _greedy_block;
+    with workers > 1 about workers*4 blocks are mapped over a process pool,
+    with output identical to the sequential sweep.
     """
-    ms = range(p.N // 2 + 1)
-    intervals = pmap(_greedy_interval, p, ms, workers)
+    k = p.N // 2
+    parts = 1 if workers <= 1 else min(k + 1, workers * 4)
+    bounds = [(k + 1) * i // parts for i in range(parts + 1)]
+    blocks = [range(bounds[i], bounds[i + 1]) for i in range(parts)]
+    intervals = [iv for block in pmap(_greedy_block, p, blocks, workers) for iv in block]
     lower, upper = zip(*intervals)
     return AcceptanceFamily(p, Stage.RAW, lower, upper)
 

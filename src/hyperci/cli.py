@@ -6,7 +6,8 @@ pivotal baseline over a list of n), certify (exact small-grid checks).
 
 Output is CSV by default (tsv/pretty available); a total-size footer is
 deterministic, the timing footer is not and can be suppressed with
---no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error.
+--no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error,
+3 internal error (a failed kernel self-check).
 Worker count for the sweeps comes from HYPERCI_WORKERS (a nonnegative
 integer, capped at the CPU count). Alpha is a decimal (a float) or a
 fraction such as 3/5 (an exact rational).
@@ -239,6 +240,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,11 @@ to ``C(N,n)`` over the support for every M:
   ratio of alpha, never a rounded double; pass alpha as a
   ``fractions.Fraction`` for an exact rational level, or as a float to use
   that double's exact binary value;
+* stages that need one quantity for every M sweep M upward and carry it:
+  ``step_m`` moves a weight from (M, x) to (M+1, x), and the interval-mass
+  identity (N-M)(W_{M+1}[a,b] - W_M[a,b]) = (n-a+1) w_M(a-1) - (n-b) w_M(b)
+  moves a window or tail mass; a carried point that falls below the new
+  support's lower end max(0, M+1+n-N) is reseeded from ``weight``;
 * ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
 """
 
@@ -93,7 +98,6 @@ def log_pmf(M: int, x: int, p: Params) -> float:
     reflection (M, x) -> (N-M, n-x), so reflected calls return bit-identical
     values.
     """
-    p.check_m(M)
     lo, hi = support(M, p)
     if x < lo or x > hi:
         return NEG_INF
@@ -138,8 +142,7 @@ def lower_tail(M: int, x: int, p: Params) -> float:
 def weight(M: int, x: int, p: Params) -> int:
     """Unnormalized pmf numerator; 0 outside the support."""
     p.check_m(M)
-    lo, hi = support(M, p)
-    if x < lo or x > hi:
+    if x < max(0, M + p.n - p.N) or x > min(M, p.n):
         return 0
     return math.comb(M, x) * math.comb(p.N - M, p.n - x)
 
@@ -182,14 +185,12 @@ def lower_quantile(M: int, threshold: AlphaLike, p: Params) -> int:
     num, den = threshold.as_integer_ratio()
     bar = num * p.total_weight  # the tail weight must exceed bar / den
     lo, hi = support(M, p)
-    N, n = p.N, p.n
     x = lo
     w = cum = weight(M, lo, p)
     while cum * den <= bar:
         if x == hi:
             raise ValueError(f"P_M(X <= x) never exceeds {threshold} at M={M}")
-        # step_up inlined: pivot_table runs this loop for every M
-        w = w * (M - x) * (n - x) // ((x + 1) * (N - M - n + x + 1))
+        w = step_up(w, M, x, p)
         x += 1
         cum += w
     return x
@@ -203,6 +204,16 @@ def step_up(w: int, M: int, x: int, p: Params) -> int:
 def step_down(w: int, M: int, x: int, p: Params) -> int:
     """Weight at x-1 from the weight at x (x-1 must stay in the support)."""
     return w * x * (p.N - M - p.n + x) // ((M - x + 1) * (p.n - x + 1))
+
+
+def step_m(w: int, M: int, x: int, p: Params) -> int:
+    """Weight at (M+1, x) from the weight at (M, x), for M < N.
+
+    C(M+1, x) = C(M, x) (M+1)/(M+1-x) and C(N-M-1, n-x) = C(N-M, n-x)
+    (N-M-n+x)/(N-M), so the division is exact; the result is 0 when x falls
+    below the support of M+1.
+    """
+    return w * (M + 1) * (p.N - M - p.n + x) // ((M + 1 - x) * (p.N - M))
 
 
 def attains_level(weight_sum: int, p: Params) -> bool:

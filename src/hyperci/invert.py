@@ -178,6 +178,9 @@ def table_from_csv(text: str) -> ConfidenceTable:
         rows.append((x, low, high))
     if not meta:
         raise ValueError("missing metadata header line")
+    for key in ("N", "n", "alpha"):
+        if key not in meta:
+            raise ValueError(f"metadata header lacks {key}=")
     alpha_text = meta["alpha"]
     alpha = Fraction(alpha_text) if "/" in alpha_text else float(alpha_text)
     p = Params(int(meta["N"]), int(meta["n"]), alpha)

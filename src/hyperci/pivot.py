@@ -9,7 +9,7 @@ tests against the threshold's integer ratio.
 
 from __future__ import annotations
 
-from .core import Params, interval_weight, lower_quantile, support, weight_exceeds
+from .core import Params, interval_weight, step_m, support, weight, weight_exceeds
 from .invert import ConfidenceTable, Method
 
 
@@ -76,23 +76,50 @@ def pivot_ci(x: int, p: Params, alpha1=None, alpha2=None, scan: bool = False) ->
 
 
 def pivot_table(p: Params) -> ConfidenceTable:
-    """Equal-tail table for every x, via one pass of per-M tail quantiles.
+    """Equal-tail table for every x, via one sweep of per-M tail quantiles.
 
     For each M the sweep finds the smallest x with P_M(X <= x) > alpha/2;
     those thresholds are nondecreasing in M, and merging them against x
     yields U(x) = max{M : threshold(M) <= x} and, by the M -> N-M
     reflection, L(x) = N - U(n-x). Rows agree with pivot_ci at every x.
+
+    The sweep carries (x, w_M(x), W_M(X <= x)) from M to M+1: ``step_m``
+    moves the weight and the interval-mass identity moves the tail, then x
+    steps up to the next threshold. x never steps down, so the whole table
+    costs O(N + n) exact steps. Monotonicity is checked at each M as its
+    premise, P_{M+1}(X <= x-1) <= alpha/2 at the carried x; the carried
+    tail must equal the carried weight when x leaves the support, and both
+    are checked against weight and interval_weight after the last M.
     """
-    half_alpha = p.alpha / 2
+    num, den = (p.alpha / 2).as_integer_ratio()
+    bar = num * p.total_weight  # the tail weight must exceed bar / den
     N, n = p.N, p.n
+    x = 0
+    w = tail = weight(0, 0, p)
     thresholds = []
-    prev = 0
     for M in range(N + 1):
-        x_t = lower_quantile(M, half_alpha, p)
-        if x_t < prev:
-            raise AssertionError("tail quantiles not monotone in M")
-        prev = x_t
-        thresholds.append(x_t)
+        if M:
+            if x < M + n - N:  # x left the support: reseed at its lower end
+                if tail != w:  # x was the lower end, so its tail is its weight
+                    raise AssertionError("carried pivot weights drifted; corrupt kernels")
+                x = M + n - N
+                w = tail = weight(M, x, p)
+            else:
+                tail -= (n - x) * w // (N - M + 1)
+                w = step_m(w, M - 1, x, p)
+                if (tail - w) * den > bar:
+                    raise AssertionError("tail quantiles not monotone in M; corrupt kernels")
+        hi = min(M, n)
+        while tail * den <= bar:
+            if x == hi:
+                raise AssertionError(f"tail never exceeds alpha/2 at M={M}; corrupt kernels")
+            # step_up inlined: this loop runs O(N + n) times per table
+            w = w * (M - x) * (n - x) // ((x + 1) * (N - M - n + x + 1))
+            x += 1
+            tail += w
+        thresholds.append(x)
+    if w != weight(N, x, p) or tail != interval_weight(N, 0, x, p):
+        raise AssertionError("carried pivot weights drifted; corrupt kernels")
 
     upper = [0] * (n + 1)
     m = 0

@@ -4,8 +4,13 @@ import pytest
 
 from hyperci import Params, amo_half, reflect_full
 from hyperci.acceptance import AcceptanceFamily, Stage, _greedy_interval
-from hyperci.core import attains_level, support, weight_table
+from hyperci.core import attains_level, mode, support, weight, weight_table
 from hyperci.oracle import exact_interval_prob, min_level_interval
+
+
+def greedy_reference(p, M):
+    """The reference greedy interval: the mode weight computed directly."""
+    return _greedy_interval(p, M, weight(M, mode(M, p), p))
 
 
 def family_is_level(fam):
@@ -63,11 +68,25 @@ class TestGreedyHalfFamily:
                 if 2 * M < N:
                     assert half.lower[M] + half.upper[M] <= n
 
+    def test_sweep_matches_reference_greedy(self):
+        cases = [(N, n, Fraction(1, 20)) for N in range(1, 41) for n in range(1, N + 1)]
+        cases += [(N, n, a) for N, n in [(40, 40), (40, 39), (33, 7)]
+                  for a in (0.01, 0.2, Fraction(3, 5))]
+        cases += [(365, 292, 0.1), (500, 100, 0.05), (1000, 500, 0.05)]
+        for N, n, alpha in cases:
+            p = Params(N, n, alpha)
+            half = amo_half(p)
+            assert [half.interval(M) for M in range(len(half))] == [
+                greedy_reference(p, M) for M in range(N // 2 + 1)
+            ]
+
     def test_parallel_map_matches_sequential(self):
-        p = Params(120, 40, 0.05)
-        seq = amo_half(p)
-        par = amo_half(p, workers=2)
-        assert seq.lower == par.lower and seq.upper == par.upper
+        # (365, 292): the support starts above 0 from M = 74, so later blocks
+        # seed their mode weight past the support edge
+        for p in (Params(120, 40, 0.05), Params(365, 292, 0.10)):
+            seq = amo_half(p)
+            par = amo_half(p, workers=2)
+            assert seq.lower == par.lower and seq.upper == par.upper
 
     def test_deterministic_across_runs(self):
         p = Params(200, 60, 0.1)
@@ -109,9 +128,14 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             AcceptanceFamily(p, Stage.RAW, (0, 2), (0, 2))  # M=1 has x_max = 1
 
+    def test_family_longer_than_population_rejected(self):
+        p = Params(3, 2, 0.6)
+        with pytest.raises(ValueError, match="M must be in"):
+            AcceptanceFamily(p, Stage.RAW, (0, 0, 1, 2, 2), (0, 1, 2, 2, 2))
+
     def test_full_range_greedy_is_valid_family(self):
         p = Params(36, 10, 0.05)
-        ints = [_greedy_interval(p, M) for M in range(37)]
+        ints = [greedy_reference(p, M) for M in range(37)]
         lower, upper = zip(*ints)
         fam = AcceptanceFamily(p, Stage.RAW, lower, upper)
         assert family_is_level(fam)

@@ -282,6 +282,16 @@ class TestCertify:
         assert code == 1
         assert "FAILURES FOUND" in out
 
+    def test_kernel_self_check_failure_exits_3(self, capsys, monkeypatch):
+        def broken(p, workers=0):
+            raise AssertionError("carried weights drifted; corrupt kernels")
+
+        monkeypatch.setattr("hyperci.cli.cstar_table", broken)
+        code, out, err = run(capsys, "table", "--N", "20", "--n", "6", "--alpha", "0.6")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: carried weights drifted; corrupt kernels\n"
+
     def test_excessive_grid_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "certify", "--max-N", "300")
         assert code == 2

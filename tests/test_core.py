@@ -15,6 +15,7 @@ from hyperci.core import (
     lower_tail,
     mode,
     pmf,
+    step_m,
     support,
     weight,
     weight_table,
@@ -273,6 +274,18 @@ def test_lower_quantile_matches_prefix_scan(data):
         if Fraction(cum, p.total_weight) > threshold:
             break
     assert lower_quantile(M, threshold, p) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_step_m_matches_direct_weight(data):
+    N = data.draw(st.integers(1, 120))
+    n = data.draw(st.integers(1, N))
+    M = data.draw(st.integers(0, N - 1))
+    p = Params(N, n, 0.31)
+    lo, hi = support(M, p)
+    for x in range(lo, hi + 1):
+        assert step_m(weight(M, x, p), M, x, p) == weight(M + 1, x, p)
 
 
 def test_lower_quantile_exact_at_a_tie():

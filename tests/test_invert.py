@@ -203,6 +203,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="total_size"):
             table_from_csv(text)
 
+    @pytest.mark.parametrize("key", ["N", "n", "alpha"])
+    def test_header_missing_key_names_it(self, key):
+        header = {"N": "N=20", "n": "n=6", "alpha": "alpha=0.6"}
+        del header[key]
+        text = f"# hyperci table {' '.join(header.values())}\nx,L,U\n0,0,2\n"
+        with pytest.raises(ValueError, match=f"lacks {key}="):
+            table_from_csv(text)
+
     @pytest.mark.parametrize("bad_row", ["3,7", "3,7,x", "3,7,13,0"])
     def test_malformed_row_names_its_line(self, bad_row):
         text = table_to_csv(cstar_table(Params(20, 6, 0.6))).replace("3,7,13", bad_row)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hyperci import Params, adjust, amo_half, center_interval, symmetrize
-from hyperci.acceptance import AcceptanceFamily, Stage, _greedy_interval
+from hyperci.acceptance import AcceptanceFamily, Stage
 from hyperci.core import attains_level, support, weight_table
 
-from test_acceptance_family import family_is_level
+from test_acceptance_family import family_is_level, greedy_reference
 
 
 def exact_level_ok(fam, M):
@@ -38,7 +38,7 @@ class TestAdjust:
     def test_down_shift_on_full_range_family(self):
         # the upper half of a full-range greedy family mirrors the up-shifts
         p = Params(100, 26, 0.01)
-        ints = [_greedy_interval(p, M) for M in range(101)]
+        ints = [greedy_reference(p, M) for M in range(101)]
         lower, upper = zip(*ints)
         adjusted, trace = adjust(AcceptanceFamily(p, Stage.RAW, lower, upper))
         assert 84 in trace.set_upper
@@ -79,6 +79,39 @@ class TestAdjust:
         )
         with pytest.raises(ValueError, match="M=5"):
             adjust(broken)
+
+    # N=12, n=10: the support's lower end max(0, M-2) rises inside the half,
+    # so the guard's carried window must follow it. M=0 has the one-point
+    # support {0} of mass 1, so M=1 is the first M a family can fail at.
+    @pytest.mark.parametrize("M, a, b", [(1, 0, 0), (4, 2, 2), (6, 4, 4)])
+    def test_guard_names_first_bad_m_across_rising_support(self, M, a, b):
+        p = Params(12, 10, 0.05)
+        half = amo_half(p)
+        lower = half.lower[:M] + (a,) + half.lower[M + 1:]
+        upper = half.upper[:M] + (b,) + half.upper[M + 1:]
+        with pytest.raises(ValueError, match=f"at M={M}:"):
+            adjust(AcceptanceFamily(p, Stage.RAW, lower, upper))
+
+    # a doubled step drives the carried mass negative, which must not be
+    # reported as a below-level input; a 0.1% error only drifts it
+    @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
+    def test_guard_detects_drift_from_a_corrupt_kernel(self, monkeypatch, num, den):
+        import hyperci.monotonize as mono
+
+        step = mono.step_m
+        monkeypatch.setattr(mono, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        with pytest.raises(AssertionError, match="corrupt kernels"):
+            adjust(amo_half(Params(40, 13, 0.2)))
+
+    def test_guard_follows_windows_that_leave_the_support(self):
+        # every interval sits at the support's lower end, so each M's window
+        # falls wholly or partly below the next support
+        lower = (0, 0, 0, 1, 2, 3, 4)
+        adjust(AcceptanceFamily(Params(12, 10, 0.99), Stage.RAW, lower, lower))
+        upper = (0, 1, 2, 3, 3, 4, 4)  # level until P_6([4, 4]) = 15/66
+        fam = AcceptanceFamily(Params(12, 10, 0.5), Stage.RAW, lower, upper)
+        with pytest.raises(ValueError, match="at M=6:"):
+            adjust(fam)
 
 
 class TestCenterInterval:

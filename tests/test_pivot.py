@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperci import Params, pivot_ci, pivot_table
+from hyperci.core import lower_quantile
 from hyperci.pivot import _lower_tail_weight, _upper_tail_weight
 
 from reference_tables import COMPETITOR_L, COMPETITOR_U
@@ -70,6 +71,43 @@ class TestPivotTable:
         p = Params(45, 17, Fraction(1, 10))
         q = Params(45, 17, 0.1)
         assert pivot_table(p).lower == pivot_table(q).lower
+
+
+def pivot_reference(p):
+    """Reference table: each M's quantile found by lower_quantile, then merged."""
+    thresholds = [lower_quantile(M, p.alpha / 2, p) for M in range(p.N + 1)]
+    upper = [max(M for M, t in enumerate(thresholds) if t <= x) for x in range(p.n + 1)]
+    lower = [p.N - upper[p.n - x] for x in range(p.n + 1)]
+    return tuple(lower), tuple(upper)
+
+
+class TestPivotSweep:
+    def test_matches_reference_small_grid(self):
+        for N in range(1, 41):
+            for n in range(1, N + 1):
+                for alpha in (Fraction(1, 20), 0.1, Fraction(3, 5)):
+                    p = Params(N, n, alpha)
+                    tbl = pivot_table(p)
+                    assert (tbl.lower, tbl.upper) == pivot_reference(p), (N, n, alpha)
+
+    def test_matches_reference_large_n(self):
+        for N, n in [(365, 292), (400, 400), (400, 399)]:
+            p = Params(N, n, 0.05)
+            tbl = pivot_table(p)
+            assert (tbl.lower, tbl.upper) == pivot_reference(p)
+
+
+    # (45, 17, 0.1) reseeds x near M = N, which checks the drift there;
+    # in (45, 3, 0.3), n/N < alpha/2 keeps x above the support's lower end,
+    # so the drift reaches the end-of-sweep check
+    @pytest.mark.parametrize("N, n, alpha", [(45, 17, 0.1), (45, 3, 0.3)])
+    def test_corrupt_kernel_fails_a_sweep_check(self, monkeypatch, N, n, alpha):
+        import hyperci.pivot as pivot
+
+        step = pivot.step_m
+        monkeypatch.setattr(pivot, "step_m", lambda w, M, x, p: step(w, M, x, p) * 1001 // 1000)
+        with pytest.raises(AssertionError, match="corrupt kernels"):
+            pivot_table(Params(N, n, alpha))
 
 
 class TestTailMonotonicity:
