@@ -1,12 +1,21 @@
 """Minimum-cardinality acceptance intervals, built greedily from the mode.
 
-For each M the interval starts at the pmf maximizer and repeatedly absorbs
-the more probable neighbor (the left one on ties) until its mass reaches
-1 - alpha. Among intervals of its cardinality the result has maximal
-probability, and no smaller level-alpha set exists.
+For each M the greedy interval starts at the pmf maximizer mode(M) and
+repeatedly absorbs the more probable neighbor (the left one on ties) until
+its mass reaches 1 - alpha. Among intervals of its cardinality the result
+has maximal probability, and no smaller level-alpha set exists.
 
-Greedy direction choices and the stopping rule are exact integer
-comparisons, so the output is a deterministic function of (N, n, alpha).
+The greedy is not rerun from the mode at every M. A sweep carries the
+window, its endpoint weights and its exact mass from M to M+1
+(``core.carry_window``) and corrects it with a few endpoint moves: slide to
+the leftmost max-mass window of the same length, shrink while a window one
+point shorter still reaches the level, put a one-point window on mode(M),
+then grow by the greedy rule. The result is the greedy interval itself,
+and the cost per M is the endpoint drift, not |A(M)|. The from-scratch
+greedy is kept as the reference ``oracle.greedy_interval``.
+
+Every move and the stopping rule are exact integer comparisons, so the
+output is a deterministic function of (N, n, alpha).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import Params, mode, step_m, step_up, weight
+from .core import DRIFTED, Params, carry_window, interval_weight, mode, step_down, step_up, weight
 from .parallel import pmap
 
 
@@ -71,62 +80,90 @@ class AcceptanceFamily:
         return sum(b - a + 1 for a, b in zip(self.lower, self.upper))
 
 
-def _greedy_interval(p: Params, M: int, w_mode: int) -> tuple:
-    """Smallest level-alpha interval of maximal mass for one M.
+def _greedy_sweep(p: Params, ms: range) -> list:
+    """Greedy intervals for contiguous M, each carried over from the last.
 
-    w_mode is the weight at mode(M, p); step_up/step_down are inlined and
-    the stopping rule is attains_level against a precomputed bar.
+    The first M starts from [mode, mode]. Each later M takes the previous
+    window (a, b, w_a, w_b, mass) through ``carry_window``, then corrects it
+    with exact endpoint moves: slide to the leftmost max-mass window of the
+    same length, shrink while the window one point shorter (without its
+    lighter end, the right one on ties) still reaches the level, put a
+    one-point window on mode(M), and grow by the greedy rule. A carried
+    window only ever slides right, since the leftmost max-mass start of each
+    length is nondecreasing in M; the left slide keeps the correction exact
+    from any window. After the last M the carried mass and weights must
+    match interval_weight and weight.
     """
     N, n = p.N, p.n
     num, den = p._alpha_ratio
     bar = (den - num) * p.total_weight  # the mass must reach bar / den
-    lo, hi = max(0, M + n - N), min(M, n)
-    s = N - M - n
-    c = d = mode(M, p)
-    w_left = w_mode * c * (s + c) // ((M - c + 1) * (n - c + 1)) if c > lo else 0
-    w_right = w_mode * (M - d) * (n - d) // ((d + 1) * (s + d + 1)) if d < hi else 0
-    mass = w_mode
-    while mass * den < bar:
-        if w_right > w_left:
-            d += 1
-            mass += w_right
-            w_right = w_right * (M - d) * (n - d) // ((d + 1) * (s + d + 1)) if d < hi else 0
-        else:
-            c -= 1
-            mass += w_left
-            w_left = w_left * c * (s + c) // ((M - c + 1) * (n - c + 1)) if c > lo else 0
-    return (c, d)
-
-
-def _greedy_block(p: Params, ms: range) -> list:
-    """Greedy intervals for contiguous M, carrying the weight at the mode.
-
-    The mode moves up by at most 1 per M, so the carried weight follows it
-    with one step_m and at most one step_up; it is reseeded from weight()
-    only when the old mode falls below the new support.
-    """
-    N, n = p.N, p.n
-    c = mode(ms[0], p)
-    w = weight(ms[0], c, p)
+    a = b = mode(ms[0], p)
+    w_a = w_b = mass = weight(ms[0], a, p)
     out = []
     for M in ms:
         if M > ms[0]:
-            new_c = mode(M, p)
-            if c < M + n - N:
-                w = weight(M, new_c, p)
+            a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
+        # the support [lo, hi], the neighbour weights w_left = w(a-1) and
+        # w_right = w(b+1) (step_down/step_up inlined; both give 0 past the
+        # support) and mode(M) below are written out because they run for
+        # every M, where calls cost more than the arithmetic on small N
+        lo = M + n - N if M + n > N else 0
+        hi = M if M < n else n
+        s = N - M - n
+        w_left = w_a * a * (s + a) // ((M - a + 1) * (n - a + 1))
+        w_right = w_b * (M - b) * (n - b) // ((b + 1) * (s + b + 1))
+        while a > lo and w_left >= w_b:  # slide left, onto the leftmost tie
+            mass += w_left - w_b
+            w_right, w_b = w_b, step_down(w_b, M, b, p)
+            w_a = w_left
+            a, b = a - 1, b - 1
+            w_left = step_down(w_a, M, a, p)
+        while b < hi and w_right > w_a:  # slide right
+            mass += w_right - w_a
+            w_left, w_a = w_a, step_up(w_a, M, a, p)
+            w_b = w_right
+            a, b = a + 1, b + 1
+            w_right = step_up(w_b, M, b, p)
+        while a < b:  # shrink, dropping the lighter end (the right on ties)
+            if w_b <= w_a:
+                if (mass - w_b) * den < bar:
+                    break
+                mass -= w_b
+                w_right, w_b = w_b, step_down(w_b, M, b, p)
+                b -= 1
             else:
-                w = step_m(w, M - 1, c, p)
-                if new_c > c:
-                    w = step_up(w, M, c, p)
-            c = new_c
-        out.append(_greedy_interval(p, M, w))
+                if (mass - w_a) * den < bar:
+                    break
+                mass -= w_a
+                w_left, w_a = w_a, step_up(w_a, M, a, p)
+                a += 1
+        if a == b and a != (n + 1) * (M + 1) // (N + 2):
+            # tied modes: the slide stopped at the left one, mode() is the right
+            w_left, w_a = w_a, w_right
+            a = b = a + 1
+            w_b, w_right = w_a, step_up(w_a, M, a, p)
+        while mass * den < bar:  # grow: the heavier neighbour, left on ties
+            if b < hi and w_right > w_left:
+                b += 1
+                mass += w_right
+                w_b, w_right = w_right, step_up(w_right, M, b, p)
+            elif a > lo:
+                a -= 1
+                mass += w_left
+                w_a, w_left = w_left, step_down(w_left, M, a, p)
+            else:
+                raise AssertionError("full support below the level; corrupt kernels")
+        out.append((a, b))
+    M = ms[-1]
+    if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
+        raise AssertionError(DRIFTED)
     return out
 
 
 def amo_half(p: Params, workers: int = 0) -> AcceptanceFamily:
     """Acceptance intervals for M = 0..floor(N/2), stage RAW.
 
-    The M range is cut into contiguous blocks, each swept by _greedy_block;
+    The M range is cut into contiguous blocks, each swept by _greedy_sweep;
     with workers > 1 about workers*4 blocks are mapped over a process pool,
     with output identical to the sequential sweep.
     """
@@ -134,7 +171,7 @@ def amo_half(p: Params, workers: int = 0) -> AcceptanceFamily:
     parts = 1 if workers <= 1 else min(k + 1, workers * 4)
     bounds = [(k + 1) * i // parts for i in range(parts + 1)]
     blocks = [range(bounds[i], bounds[i + 1]) for i in range(parts)]
-    intervals = [iv for block in pmap(_greedy_block, p, blocks, workers) for iv in block]
+    intervals = [iv for block in pmap(_greedy_sweep, p, blocks, workers) for iv in block]
     lower, upper = zip(*intervals)
     return AcceptanceFamily(p, Stage.RAW, lower, upper)
 

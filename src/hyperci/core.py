@@ -20,7 +20,10 @@ to ``C(N,n)`` over the support for every M:
   ``step_m`` moves a weight from (M, x) to (M+1, x), and the interval-mass
   identity (N-M)(W_{M+1}[a,b] - W_M[a,b]) = (n-a+1) w_M(a-1) - (n-b) w_M(b)
   moves a window or tail mass; a carried point that falls below the new
-  support's lower end max(0, M+1+n-N) is reseeded from ``weight``;
+  support's lower end max(0, M+1+n-N) is reseeded from ``weight``.
+  ``carry_window`` is the one window move: the greedy sweep carries each
+  acceptance interval with it and corrects it by endpoint moves, and the
+  ``adjust`` level guard carries its window with it;
 * ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
 """
 
@@ -34,6 +37,8 @@ from typing import NamedTuple, Union
 AlphaLike = Union[float, Fraction]
 
 NEG_INF = float("-inf")
+
+DRIFTED = "carried window mass drifted; corrupt kernels"
 
 
 class Support(NamedTuple):
@@ -163,15 +168,18 @@ def interval_weight(M: int, a: int, b: int, p: Params) -> int:
     """Exact weight sum over [a, b] clipped to the support; 0 when empty.
 
     Starts from the weight at a and steps up to b, so the cost is the
-    window's length, not the support's.
+    window's length, not the support's. M is validated once; the support
+    bounds and ``step_up`` are inlined.
     """
-    lo, hi = support(M, p)
-    a, b = max(a, lo), min(b, hi)
+    p.check_m(M)
+    N, n = p.N, p.n
+    s = N - M - n
+    a, b = max(a, 0, -s), min(b, M, n)
     if a > b:
         return 0
-    w = total = weight(M, a, p)
+    w = total = math.comb(M, a) * math.comb(N - M, n - a)
     for x in range(a, b):
-        w = step_up(w, M, x, p)
+        w = w * (M - x) * (n - x) // ((x + 1) * (s + x + 1))
         total += w
     return total
 
@@ -214,6 +222,31 @@ def step_m(w: int, M: int, x: int, p: Params) -> int:
     below the support of M+1.
     """
     return w * (M + 1) * (p.N - M - p.n + x) // ((M + 1 - x) * (p.N - M))
+
+
+def carry_window(M: int, a: int, b: int, w_a: int, w_b: int, mass: int, p: Params) -> tuple:
+    """Window state (a, b, w_a, w_b, mass) at M moved to M+1, for M < N.
+
+    w_a and w_b are the weights at a and b and mass is the weight sum over
+    [a, b], all at M. The interval-mass identity moves the mass and
+    ``step_m`` the endpoint weights; a window wholly below the support of
+    M+1 must carry mass 0 and is reseeded at that support's lower end, and
+    an a below it moves up to it (those points have weight 0 at M+1).
+    """
+    N, n = p.N, p.n
+    # w_M(a-1); step_down gives 0 when a is the support's lower end
+    w_below = step_down(w_a, M, a, p)
+    mass += ((n - a + 1) * w_below - (n - b) * w_b) // (N - M)
+    lo = M + 1 + n - N  # the support of M+1 starts at max(0, lo)
+    if b < lo:
+        if mass:
+            raise AssertionError(DRIFTED)
+        w = weight(M + 1, lo, p)
+        return lo, lo, w, w, w
+    w_b = step_m(w_b, M, b, p)
+    if a < lo:
+        return lo, b, weight(M + 1, lo, p), w_b, mass
+    return a, b, step_m(w_a, M, a, p), w_b, mass
 
 
 def attains_level(weight_sum: int, p: Params) -> bool:

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 from .acceptance import AcceptanceFamily, Stage
 from .core import (
+    DRIFTED,
     Params,
     attains_level,
+    carry_window,
     interval_weight,
     lower_quantile,
     step_down,
-    step_m,
     step_up,
     weight,
 )
@@ -52,37 +53,20 @@ def _check_level(fam: AcceptanceFamily) -> None:
     """Raise ValueError naming the first M whose interval is below level.
 
     Sweeps M upward carrying the window [a, b], its endpoint weights and its
-    mass: the interval-mass identity and step_m move them to M+1, then
-    step_up/step_down walk each endpoint to the next interval. The cost is
-    O(len + endpoint drift) for any family, so families built outside the
-    greedy step are checked as cheaply as greedy ones. A below-level mass is
-    re-summed by interval_weight before the input is blamed, a window that
-    leaves the support must carry mass 0, and the last mass must equal its
-    sum.
+    mass: ``carry_window`` moves them to M+1, then step_up/step_down walk
+    each endpoint to the next interval. The cost is O(len + endpoint drift)
+    for any family, so families built outside the greedy step are checked
+    as cheaply as greedy ones. A below-level mass is re-summed by
+    interval_weight before the input is blamed, and the last mass must
+    equal its sum.
     """
-    drifted = "carried window mass drifted; corrupt kernels"
     p = fam.params
-    N, n = p.N, p.n
     a, b = fam.interval(0)
     w_a, w_b = weight(0, a, p), weight(0, b, p)
     mass = interval_weight(0, a, b, p)
     for M, (a_new, b_new) in enumerate(zip(fam.lower, fam.upper)):
         if M:
-            # w_{M-1}(a-1); step_down gives 0 when a is the support's lower end
-            w_below = step_down(w_a, M - 1, a, p)
-            mass += ((n - a + 1) * w_below - (n - b) * w_b) // (N - M + 1)
-            lo = M + n - N  # the support of M starts at max(0, lo)
-            if b < lo:  # the whole window left the support: reseed it
-                if mass:
-                    raise AssertionError(drifted)
-                a = b = lo
-                w_a = w_b = mass = weight(M, lo, p)
-            else:
-                w_b = step_m(w_b, M - 1, b, p)
-                if a < lo:
-                    a, w_a = lo, weight(M, lo, p)
-                else:
-                    w_a = step_m(w_a, M - 1, a, p)
+            a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
             while b < b_new:
                 w_b = step_up(w_b, M, b, p)
                 b += 1
@@ -101,13 +85,13 @@ def _check_level(fam: AcceptanceFamily) -> None:
                 b -= 1
         if not attains_level(mass, p):
             if mass != interval_weight(M, a, b, p):
-                raise AssertionError(drifted)
+                raise AssertionError(DRIFTED)
             raise ValueError(
                 f"input family is not level alpha at M={M}: "
                 f"interval {fam.interval(M)} has mass {mass}/{p.total_weight}"
             )
     if mass != interval_weight(len(fam) - 1, a, b, p):
-        raise AssertionError(drifted)
+        raise AssertionError(DRIFTED)
 
 
 def adjust(half: AcceptanceFamily) -> tuple:

@@ -4,7 +4,9 @@ Everything here works on big-integer pmf numerators and compares against
 alpha as an explicit Fraction, never as a converted double, so "within
 level" and "larger probability" are unambiguous. The searches are
 deliberately naive (window scans, subset enumeration) and capped at
-N <= 200: they certify the fast pipeline, they do not replace it.
+N <= 200: they certify the fast pipeline, they do not replace it. The
+from-scratch greedy ``greedy_interval`` is the uncapped reference for the
+carried greedy sweep.
 
 Window masses come from per-M prefix rows (``prefix_row``, ``window_mass``)
 built from the full weight table, independently of the production
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Params, support, weight, weight_table
+from .core import Params, attains_level, mode, step_down, step_up, support, weight, weight_table
 from .invert import ConfidenceTable
 
 N_CAP = 200
@@ -61,6 +63,31 @@ def exact_interval_prob(M: int, a: int, b: int, p: Params) -> Fraction:
     """P_M(a <= X <= b) as an exact rational."""
     _check_cap(p)
     return Fraction(window_mass(prefix_row(M, p), a, b), p.total_weight)
+
+
+def greedy_interval(p: Params, M: int) -> tuple:
+    """The greedy acceptance interval at M, grown from scratch.
+
+    Starts at mode(M) and absorbs the heavier neighbour, the left one on
+    ties, until the mass reaches 1 - alpha. This is the rule the carried
+    sweep in ``acceptance`` must reproduce. Its cost is O(|A(M)|) steps, so
+    unlike the searches here it is not capped in N.
+    """
+    c = d = mode(M, p)
+    mass = weight(M, c, p)
+    w_left, w_right = step_down(mass, M, c, p), step_up(mass, M, d, p)
+    while not attains_level(mass, p):
+        if not (w_left or w_right):
+            raise AssertionError("full support failed the level; corrupt kernels")
+        if w_right > w_left:
+            d += 1
+            mass += w_right
+            w_right = step_up(w_right, M, d, p)
+        else:
+            c -= 1
+            mass += w_left
+            w_left = step_down(w_left, M, c, p)
+    return (c, d)
 
 
 def min_level_interval(M: int, p: Params, alpha: Fraction) -> tuple:

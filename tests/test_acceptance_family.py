@@ -1,16 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperci import Params, amo_half, reflect_full
-from hyperci.acceptance import AcceptanceFamily, Stage, _greedy_interval
-from hyperci.core import attains_level, mode, support, weight, weight_table
-from hyperci.oracle import exact_interval_prob, min_level_interval
+from hyperci.acceptance import AcceptanceFamily, Stage
+from hyperci.core import attains_level, interval_weight, support, weight, weight_table
+from hyperci.oracle import exact_interval_prob, greedy_interval, min_level_interval
 
 
-def greedy_reference(p, M):
-    """The reference greedy interval: the mode weight computed directly."""
-    return _greedy_interval(p, M, weight(M, mode(M, p), p))
+def greedy_half(p):
+    """The reference half family: the from-scratch greedy at every M <= N/2."""
+    return [greedy_interval(p, M) for M in range(p.N // 2 + 1)]
+
+
+def intervals(fam):
+    return [fam.interval(M) for M in range(len(fam))]
 
 
 def family_is_level(fam):
@@ -69,24 +75,78 @@ class TestGreedyHalfFamily:
                     assert half.lower[M] + half.upper[M] <= n
 
     def test_sweep_matches_reference_greedy(self):
-        cases = [(N, n, Fraction(1, 20)) for N in range(1, 41) for n in range(1, N + 1)]
-        cases += [(N, n, a) for N, n in [(40, 40), (40, 39), (33, 7)]
-                  for a in (0.01, 0.2, Fraction(3, 5))]
-        cases += [(365, 292, 0.1), (500, 100, 0.05), (1000, 500, 0.05)]
+        # every N <= 40 instance at certify's five alphas plus 1/2, 9/10 and a
+        # float; 3/5 puts one-point intervals on tied modes
+        alphas = [Fraction(k, d) for k, d in [(1, 100), (1, 20), (1, 10), (1, 5), (3, 5),
+                                              (1, 2), (9, 10)]] + [0.05]
+        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in alphas]
+        cases += [(N, n, a) for N, n in [(400, 400), (400, 399), (401, 400), (33, 7)]
+                  for a in (0.01, 0.2, Fraction(3, 5), Fraction(9, 10))]
+        cases += [(500, 100, 0.05), (365, 292, 0.1), (1000, 500, 0.05),
+                  (2000, 1000, 0.05), (5000, 1000, 0.05)]
         for N, n, alpha in cases:
             p = Params(N, n, alpha)
-            half = amo_half(p)
-            assert [half.interval(M) for M in range(len(half))] == [
-                greedy_reference(p, M) for M in range(N // 2 + 1)
-            ]
+            assert intervals(amo_half(p)) == greedy_half(p), (N, n, alpha)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sweep_matches_reference_greedy_at_large_n(self, data):
+        N = data.draw(st.integers(1, 3000))
+        n = data.draw(st.integers(1, N))
+        alpha = data.draw(st.sampled_from([Fraction(1, 100), Fraction(1, 20), Fraction(3, 5),
+                                           Fraction(1, 2), 0.1, 0.9]))
+        p = Params(N, n, alpha)
+        half = amo_half(p)
+        ms = data.draw(st.lists(st.integers(0, N // 2), min_size=1, max_size=20))
+        for M in ms:
+            assert half.interval(M) == greedy_interval(p, M), M
 
     def test_parallel_map_matches_sequential(self):
         # (365, 292): the support starts above 0 from M = 74, so later blocks
-        # seed their mode weight past the support edge
-        for p in (Params(120, 40, 0.05), Params(365, 292, 0.10)):
+        # seed their first window past the support edge
+        for p in (Params(120, 40, 0.05), Params(365, 292, 0.10), Params(1000, 500, 0.05)):
             seq = amo_half(p)
             par = amo_half(p, workers=2)
             assert seq.lower == par.lower and seq.upper == par.upper
+            assert intervals(par) == greedy_half(p)
+
+    # the correction must reach the greedy interval from any window, not only
+    # from the carried one: move each carried window before it is corrected.
+    # At M = N/2 with n even the pmf is symmetric, so windows of even length
+    # come in tied pairs and centred ones have equal end weights; these
+    # moves exercise the slide-left tie and the shrink tie there
+    @pytest.mark.parametrize("da, db", [(1, 1), (0, 1), (-1, -1), (-1, 0), (1, 0), (0, 2)])
+    def test_correction_recovers_from_a_moved_window(self, monkeypatch, da, db):
+        import hyperci.acceptance as acceptance
+
+        carry = acceptance.carry_window
+
+        def moved(M, *state):
+            p = state[-1]
+            a, b = carry(M, *state)[:2]
+            lo, hi = support(M + 1, p)
+            if lo <= a + da <= b + db <= hi:
+                a, b = a + da, b + db
+            return a, b, weight(M + 1, a, p), weight(M + 1, b, p), interval_weight(M + 1, a, b, p)
+
+        monkeypatch.setattr(acceptance, "carry_window", moved)
+        for N in range(2, 31):
+            for n in range(1, N + 1):
+                for alpha in (Fraction(1, 20), Fraction(1, 5), Fraction(3, 5), Fraction(9, 10)):
+                    p = Params(N, n, alpha)
+                    assert intervals(amo_half(p)) == greedy_half(p), (N, n, alpha)
+
+    # a doubled step_m, and one that drifts by 0.1%, must both fail the
+    # sweep's self-checks rather than return wrong intervals
+    @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
+    @pytest.mark.parametrize("N, n, alpha", [(40, 13, 0.2), (365, 292, 0.1)])
+    def test_corrupt_kernel_fails_a_sweep_check(self, monkeypatch, num, den, N, n, alpha):
+        import hyperci.core as core
+
+        step = core.step_m
+        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        with pytest.raises(AssertionError, match="corrupt kernels"):
+            amo_half(Params(N, n, alpha))
 
     def test_deterministic_across_runs(self):
         p = Params(200, 60, 0.1)
@@ -135,7 +195,7 @@ class TestFamilyValidation:
 
     def test_full_range_greedy_is_valid_family(self):
         p = Params(36, 10, 0.05)
-        ints = [greedy_reference(p, M) for M in range(37)]
+        ints = [greedy_interval(p, M) for M in range(37)]
         lower, upper = zip(*ints)
         fam = AcceptanceFamily(p, Stage.RAW, lower, upper)
         assert family_is_level(fam)

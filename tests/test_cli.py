@@ -292,6 +292,18 @@ class TestCertify:
         assert out == ""
         assert err == "internal error: carried weights drifted; corrupt kernels\n"
 
+    @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
+    def test_corrupt_step_m_exits_3(self, capsys, monkeypatch, num, den):
+        import hyperci.core as core
+
+        step = core.step_m
+        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        code, out, err = run(capsys, "table", "--N", "40", "--n", "13", "--alpha", "0.2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "corrupt kernels" in err
+
     def test_excessive_grid_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "certify", "--max-N", "300")
         assert code == 2

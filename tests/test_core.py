@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hyperci.core import (
     Params,
     attains_level,
+    carry_window,
     interval_prob,
     interval_weight,
     log_pmf,
@@ -15,7 +16,9 @@ from hyperci.core import (
     lower_tail,
     mode,
     pmf,
+    step_down,
     step_m,
+    step_up,
     support,
     weight,
     weight_table,
@@ -286,6 +289,48 @@ def test_step_m_matches_direct_weight(data):
     lo, hi = support(M, p)
     for x in range(lo, hi + 1):
         assert step_m(weight(M, x, p), M, x, p) == weight(M + 1, x, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_neighbour_steps_match_direct_weight(data):
+    # the greedy sweep and its reference both walk with these, and both
+    # rely on a step past either end of the support giving 0
+    N = data.draw(st.integers(1, 120))
+    n = data.draw(st.integers(1, N))
+    M = data.draw(st.integers(0, N))
+    p = Params(N, n, 0.31)
+    lo, hi = support(M, p)
+    for x in range(lo, hi + 1):
+        assert step_up(weight(M, x, p), M, x, p) == weight(M, x + 1, p)
+        assert step_down(weight(M, x, p), M, x, p) == weight(M, x - 1, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_carry_window_matches_direct_sums(data):
+    N = data.draw(st.integers(2, 120))
+    n = data.draw(st.integers(1, N))
+    M = data.draw(st.integers(0, N - 1))
+    p = Params(N, n, 0.31)
+    lo, hi = support(M, p)
+    a = data.draw(st.integers(lo, hi))
+    b = data.draw(st.integers(a, hi))
+    state = (a, b, weight(M, a, p), weight(M, b, p), interval_weight(M, a, b, p))
+    a2, b2, w_a, w_b, mass = carry_window(M, *state, p)
+    lo2 = support(M + 1, p).x_min
+    assert (a2, b2) == ((max(a, lo2), b) if b >= lo2 else (lo2, lo2))
+    assert (w_a, w_b) == (weight(M + 1, a2, p), weight(M + 1, b2, p))
+    assert mass == interval_weight(M + 1, a2, b2, p)
+
+
+def test_carry_window_rejects_mass_left_below_the_support():
+    # (12, 10): the support of M = 3 starts at 1, so [0, 0] at M = 2 leaves it
+    p = Params(12, 10, 0.31)
+    w = weight(2, 0, p)
+    assert carry_window(2, 0, 0, w, w, w, p) == (1, 1) + (weight(3, 1, p),) * 3
+    with pytest.raises(AssertionError, match="corrupt kernels"):
+        carry_window(2, 0, 0, w, w, w + 1, p)
 
 
 def test_lower_quantile_exact_at_a_tie():

@@ -5,8 +5,9 @@ import pytest
 from hyperci import Params, adjust, amo_half, center_interval, symmetrize
 from hyperci.acceptance import AcceptanceFamily, Stage
 from hyperci.core import attains_level, support, weight_table
+from hyperci.oracle import greedy_interval
 
-from test_acceptance_family import family_is_level, greedy_reference
+from test_acceptance_family import family_is_level
 
 
 def exact_level_ok(fam, M):
@@ -38,7 +39,7 @@ class TestAdjust:
     def test_down_shift_on_full_range_family(self):
         # the upper half of a full-range greedy family mirrors the up-shifts
         p = Params(100, 26, 0.01)
-        ints = [greedy_reference(p, M) for M in range(101)]
+        ints = [greedy_interval(p, M) for M in range(101)]
         lower, upper = zip(*ints)
         adjusted, trace = adjust(AcceptanceFamily(p, Stage.RAW, lower, upper))
         assert 84 in trace.set_upper
@@ -96,12 +97,13 @@ class TestAdjust:
     # reported as a below-level input; a 0.1% error only drifts it
     @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
     def test_guard_detects_drift_from_a_corrupt_kernel(self, monkeypatch, num, den):
-        import hyperci.monotonize as mono
+        import hyperci.core as core
 
-        step = mono.step_m
-        monkeypatch.setattr(mono, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        half = amo_half(Params(40, 13, 0.2))  # built before the kernel is corrupted
+        step = core.step_m
+        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
         with pytest.raises(AssertionError, match="corrupt kernels"):
-            adjust(amo_half(Params(40, 13, 0.2)))
+            adjust(half)
 
     def test_guard_follows_windows_that_leave_the_support(self):
         # every interval sits at the support's lower end, so each M's window
