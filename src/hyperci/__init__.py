@@ -9,7 +9,7 @@ symmetrizing; a pivotal-cdf baseline, coverage analysis, and an
 exact-rational certification oracle round out the toolkit.
 """
 
-from .acceptance import AcceptanceFamily, Stage, amo_half, reflect_full
+from .acceptance import AcceptanceFamily, amo_half, reflect_full
 from .certify import CertificationReport, run_certification
 from .core import (
     Params,
@@ -51,7 +51,6 @@ __all__ = [
     "ConfidenceTable",
     "Method",
     "Params",
-    "Stage",
     "Support",
     "acceptance_of",
     "adjust",

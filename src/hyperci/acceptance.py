@@ -20,25 +20,22 @@ output is a deterministic function of (N, n, alpha).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .core import DRIFTED, Params, carry_window, interval_weight, mode, step_down, step_up, weight
-from .parallel import pmap
-
-
-class Stage(enum.Enum):
-    RAW = "raw"
-    ADJUSTED = "adjusted"
-    SYMMETRIZED = "symmetrized"
+from .core import DRIFTED, Params, carry_window, interval_weight, step_down, step_up, weight
 
 
 @dataclass(frozen=True)
 class AcceptanceFamily:
-    """Per-M acceptance intervals [lower[M], upper[M]] for M = 0..len-1."""
+    """Per-M acceptance intervals [lower[M], upper[M]] for M = 0..len-1.
+
+    The constructor checks only that each interval lies in its support.
+    Reflection symmetry and monotone endpoints are checked where they are
+    needed: ``invert`` requires nondecreasing endpoints over M = 0..N, and
+    the ``ConfidenceTable`` it builds requires symmetry.
+    """
 
     params: Params
-    stage: Stage
     lower: tuple
     upper: tuple
 
@@ -53,19 +50,6 @@ class AcceptanceFamily:
                 raise ValueError(
                     f"interval [{a}, {b}] at M={M} leaves the support [{lo}, {hi}]"
                 )
-        if self.stage is Stage.SYMMETRIZED:
-            self._check_symmetrized()
-
-    def _check_symmetrized(self):
-        N, n = self.params.N, self.params.n
-        if len(self.lower) != N + 1:
-            raise ValueError("symmetrized family must cover M = 0..N")
-        for M in range(N + 1):
-            if self.lower[M] + self.upper[N - M] != n:
-                raise ValueError(f"reflection symmetry broken at M={M}")
-        for M in range(N):
-            if self.lower[M] > self.lower[M + 1] or self.upper[M] > self.upper[M + 1]:
-                raise ValueError(f"endpoints not nondecreasing at M={M}")
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -80,28 +64,28 @@ class AcceptanceFamily:
         return sum(b - a + 1 for a, b in zip(self.lower, self.upper))
 
 
-def _greedy_sweep(p: Params, ms: range) -> list:
-    """Greedy intervals for contiguous M, each carried over from the last.
+def _greedy_sweep(p: Params) -> list:
+    """Greedy intervals for M = 0..floor(N/2), each carried over from the last.
 
-    The first M starts from [mode, mode]. Each later M takes the previous
-    window (a, b, w_a, w_b, mass) through ``carry_window``, then corrects it
-    with exact endpoint moves: slide to the leftmost max-mass window of the
-    same length, shrink while the window one point shorter (without its
-    lighter end, the right one on ties) still reaches the level, put a
-    one-point window on mode(M), and grow by the greedy rule. A carried
-    window only ever slides right, since the leftmost max-mass start of each
-    length is nondecreasing in M; the left slide keeps the correction exact
-    from any window. After the last M the carried mass and weights must
-    match interval_weight and weight.
+    M = 0 starts from its one-point support {0}. Each later M takes the
+    previous window (a, b, w_a, w_b, mass) through ``carry_window``, then
+    corrects it with exact endpoint moves: slide to the leftmost max-mass
+    window of the same length, shrink while the window one point shorter
+    (without its lighter end, the right one on ties) still reaches the
+    level, put a one-point window on mode(M), and grow by the greedy rule.
+    A carried window only ever slides right, since the leftmost max-mass
+    start of each length is nondecreasing in M; the left slide keeps the
+    correction exact from any window. After the last M the carried mass and
+    weights must match interval_weight and weight.
     """
     N, n = p.N, p.n
     num, den = p._alpha_ratio
     bar = (den - num) * p.total_weight  # the mass must reach bar / den
-    a = b = mode(ms[0], p)
-    w_a = w_b = mass = weight(ms[0], a, p)
+    a = b = 0
+    w_a = w_b = mass = weight(0, 0, p)
     out = []
-    for M in ms:
-        if M > ms[0]:
+    for M in range(N // 2 + 1):
+        if M:
             a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
         # the support [lo, hi], the neighbour weights w_left = w(a-1) and
         # w_right = w(b+1) (step_down/step_up inlined; both give 0 past the
@@ -154,26 +138,32 @@ def _greedy_sweep(p: Params, ms: range) -> list:
             else:
                 raise AssertionError("full support below the level; corrupt kernels")
         out.append((a, b))
-    M = ms[-1]
     if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
         raise AssertionError(DRIFTED)
     return out
 
 
-def amo_half(p: Params, workers: int = 0) -> AcceptanceFamily:
-    """Acceptance intervals for M = 0..floor(N/2), stage RAW.
+def amo_half(p: Params) -> AcceptanceFamily:
+    """Greedy acceptance intervals for M = 0..floor(N/2), in one sweep."""
+    lower, upper = zip(*_greedy_sweep(p))
+    return AcceptanceFamily(p, lower, upper)
 
-    The M range is cut into contiguous blocks, each swept by _greedy_sweep;
-    with workers > 1 about workers*4 blocks are mapped over a process pool,
-    with output identical to the sequential sweep.
+
+def _mirror(half: AcceptanceFamily) -> tuple:
+    """Endpoint lists over M = 0..N from a half-family over 0..floor(N/2).
+
+    M <= N/2 keeps the half's interval; M > N/2 takes the reflection
+    a_M = n - b_{N-M}, b_M = n - a_{N-M}.
     """
-    k = p.N // 2
-    parts = 1 if workers <= 1 else min(k + 1, workers * 4)
-    bounds = [(k + 1) * i // parts for i in range(parts + 1)]
-    blocks = [range(bounds[i], bounds[i + 1]) for i in range(parts)]
-    intervals = [iv for block in pmap(_greedy_sweep, p, blocks, workers) for iv in block]
-    lower, upper = zip(*intervals)
-    return AcceptanceFamily(p, Stage.RAW, lower, upper)
+    p = half.params
+    N, n = p.N, p.n
+    k = N // 2
+    if len(half) != k + 1:
+        raise ValueError(f"expected a half-family over 0..{k}, got length {len(half)}")
+    below = (N + 1) // 2  # the M < N/2 that the upper half mirrors
+    lower = list(half.lower) + [n - b for b in reversed(half.upper[:below])]
+    upper = list(half.upper) + [n - a for a in reversed(half.lower[:below])]
+    return lower, upper
 
 
 def reflect_full(half: AcceptanceFamily) -> AcceptanceFamily:
@@ -182,16 +172,5 @@ def reflect_full(half: AcceptanceFamily) -> AcceptanceFamily:
     For even N the index N/2 reflects onto itself; the half-family's own
     entry is kept (the symmetrizing step replaces it anyway).
     """
-    p = half.params
-    N, n = p.N, p.n
-    k = N // 2
-    if len(half) != k + 1:
-        raise ValueError(f"expected a half-family over 0..{k}, got length {len(half)}")
-    lower = list(half.lower) + [0] * (N - k)
-    upper = list(half.upper) + [0] * (N - k)
-    for M in range(k + 1):
-        if N - M == M:
-            continue
-        lower[N - M] = n - half.upper[M]
-        upper[N - M] = n - half.lower[M]
-    return AcceptanceFamily(p, half.stage, tuple(lower), tuple(upper))
+    lower, upper = _mirror(half)
+    return AcceptanceFamily(half.params, tuple(lower), tuple(upper))

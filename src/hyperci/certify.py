@@ -182,11 +182,19 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
         if max(a_c, n - b_c) != h:
             t.metric_count("center-formulas", "maxform_disagreements")
 
-    # symmetrized family: reflection, monotonicity (constructor-checked),
-    # level at every M, and mirrored lengths
+    # symmetrized family: reflection, nondecreasing endpoints, level at
+    # every M, and mirrored lengths
     bad = below_level(sym)
-    ok = not bad and all(sym.length(M) == sym.length(N - M) for M in range(N + 1))
-    t.hit("family-level", 1, None if ok else f"{tag} symmetrized level/length {bad[:3]}")
+    ok = (
+        not bad
+        and len(sym) == N + 1
+        and all(sym.lower[M] + sym.upper[N - M] == n for M in range(N + 1))
+        and all(sym.lower[M] <= sym.lower[M + 1] and sym.upper[M] <= sym.upper[M + 1]
+                for M in range(N))
+        and all(sym.length(M) == sym.length(N - M) for M in range(N + 1))
+    )
+    t.hit("family-level", 1,
+          None if ok else f"{tag} symmetrized reflection/order/level/length {bad[:3]}")
 
     refl = reflect_full(half)
     bad = below_level(refl)
@@ -452,8 +460,11 @@ def run_certification(
     """Run every check over the grid; N values default to 1..max_population."""
     if max_population > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
-    ns = sorted(populations) if populations else range(1, max_population + 1)
-    if populations and max(ns) > oracle.N_CAP:
+    ns = sorted(populations) if populations is not None else range(1, max_population + 1)
+    if not ns or ns[0] < 1:
+        found = f"N={ns[0]}" if ns else "no N"
+        raise ValueError(f"grid needs at least one N and every N >= 1; got {found}")
+    if ns[-1] > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
     alphas = tuple(Fraction(a) if not isinstance(a, Fraction) else a for a in alphas)
     cfg = {
@@ -480,7 +491,7 @@ def run_certification(
     )
     grid = (
         f"N in {{{', '.join(str(N) for N in ns)}}}"
-        if populations
+        if populations is not None
         else f"N = 1..{max_population}"
     )
     grid += f", n = 1..N, alphas = {', '.join(str(a) for a in alphas)}"

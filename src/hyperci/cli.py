@@ -6,11 +6,14 @@ pivotal baseline over a list of n), certify (exact small-grid checks).
 
 Output is CSV by default (tsv/pretty available); a total-size footer is
 deterministic, the timing footer is not and can be suppressed with
---no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error,
-3 internal error (a failed kernel self-check).
-Worker count for the sweeps comes from HYPERCI_WORKERS (a nonnegative
-integer, capped at the CPU count). Alpha is a decimal (a float) or a
-fraction such as 3/5 (an exact rational).
+--no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error
+(bad input, or an --out path that cannot be written), 3 internal error (a
+failed kernel self-check).
+coverage, compare and certify map over independent items (M values, n
+values, grid instances); their worker count comes from HYPERCI_WORKERS (a
+nonnegative integer, capped at the CPU count). Alpha is a decimal (a float)
+or a fraction such as 3/5 (an exact rational); certify's --alphas are always
+exact rationals.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
@@ -40,9 +44,10 @@ def _params(args) -> Params:
     return Params(args.N, args.n, args.alpha)
 
 
-def _alpha_arg(text: str) -> AlphaLike:
+def _alpha_arg(text: str, exact: bool = False) -> AlphaLike:
+    """Alpha in (0, 1): an exact Fraction when exact or written a/b, else a float."""
     try:
-        value = Fraction(text) if "/" in text else float(text)
+        value = Fraction(text) if exact or "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0 < value < 1:
@@ -53,13 +58,16 @@ def _alpha_arg(text: str) -> AlphaLike:
 def _build(args, p: Params) -> ConfidenceTable:
     if args.method == "pivot":
         return pivot_table(p)
-    return cstar_table(p, workers=args.workers)
+    return cstar_table(p)
 
 
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {args.out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -146,11 +154,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    alphas = tuple(Fraction(a) for a in args.alphas) if args.alphas else DEFAULT_ALPHAS
-    populations = _parse_int_list(args.N_list) if args.N_list else None
+    populations = None if args.N_list is None else _parse_int_list(args.N_list)
     report = run_certification(
         max_population=args.max_N,
-        alphas=alphas,
+        alphas=args.alphas,
         populations=populations,
         workers=args.workers,
     )
@@ -159,13 +166,17 @@ def cmd_certify(args) -> int:
 
 
 def _parse_int_list(text: str) -> list:
-    """Comma list ("10,20,30") or start:stop:step range ("10:490:10")."""
+    """Comma list ("10,20,30") or start:stop:step range ("10:490:10"), nonempty."""
     if ":" in text:
         parts = [int(v) for v in text.split(":")]
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",")]
+        values = list(range(start, stop + 1, step))
+    else:
+        values = [int(v) for v in text.split(",")]
+    if not values:
+        raise ValueError(f"list {text!r} has no values")
+    return values
 
 
 def _add_common(sub, with_n=True, with_method=True):
@@ -223,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-N", type=int, default=40, help="largest N in the grid (<= 200)")
     sub.add_argument("--N-list", help="explicit N values, comma list or range")
     sub.add_argument(
-        "--alphas", nargs="*",
-        help="alpha values as exact decimals or fractions (e.g. 0.05 3/5)",
+        "--alphas", nargs="+", type=partial(_alpha_arg, exact=True), default=DEFAULT_ALPHAS,
+        help="alpha values in (0, 1) as exact decimals or fractions (e.g. 0.05 3/5)",
     )
     sub.add_argument("--out", help="write the report to this path")
     sub.set_defaults(fn=cmd_certify)

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .acceptance import AcceptanceFamily, Stage, amo_half
+from .acceptance import AcceptanceFamily, amo_half
 from .core import Params, interval_prob
 from .monotonize import adjust, symmetrize
 
@@ -104,9 +104,9 @@ def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
     return a.total_size - b.total_size
 
 
-def cstar_table(p: Params, workers: int = 0) -> ConfidenceTable:
+def cstar_table(p: Params) -> ConfidenceTable:
     """Full pipeline: greedy intervals, shift, symmetrize, invert."""
-    adjusted, _ = adjust(amo_half(p, workers))
+    adjusted, _ = adjust(amo_half(p))
     return invert(symmetrize(adjusted, p), Method.CSTAR)
 
 
@@ -121,7 +121,7 @@ def acceptance_of(tbl: ConfidenceTable) -> AcceptanceFamily:
             raise ValueError(f"table accepts no x at M={M}")
         lower.append(x_lo)
         upper.append(x_hi)
-    return AcceptanceFamily(p, Stage.SYMMETRIZED, tuple(lower), tuple(upper))
+    return AcceptanceFamily(p, tuple(lower), tuple(upper))
 
 
 # -- CSV schema ---------------------------------------------------------------

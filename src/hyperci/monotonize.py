@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .acceptance import AcceptanceFamily, Stage
+from .acceptance import AcceptanceFamily, _mirror
 from .core import (
     DRIFTED,
     Params,
@@ -143,7 +143,7 @@ def adjust(half: AcceptanceFamily) -> tuple:
                 "were not minimum-cardinality probability maximizers"
             )
 
-    adjusted = AcceptanceFamily(p, Stage.ADJUSTED, tuple(new_a), tuple(new_b))
+    adjusted = AcceptanceFamily(p, tuple(new_a), tuple(new_b))
     trace = AdjustmentTrace(
         running_max_lower=tuple(run_max),
         running_min_upper=tuple(run_min),
@@ -183,17 +183,8 @@ def symmetrize(adjusted_half: AcceptanceFamily, p: Params) -> AcceptanceFamily:
     """Full symmetric family: keep below N/2, reflect above, center at N/2."""
     if adjusted_half.params != p:
         raise ValueError("family params do not match")
-    N, n = p.N, p.n
-    k = N // 2
-    if len(adjusted_half) != k + 1:
-        raise ValueError(f"expected an adjusted half-family over 0..{k}")
-    a, b = adjusted_half.lower, adjusted_half.upper
-    lower = [0] * (N + 1)
-    upper = [0] * (N + 1)
-    for M in range((N + 1) // 2):
-        lower[M], upper[M] = a[M], b[M]
-    for M in range(k + 1, N + 1):
-        lower[M], upper[M] = n - b[N - M], n - a[N - M]
-    if N % 2 == 0:
+    lower, upper = _mirror(adjusted_half)
+    if p.N % 2 == 0:
+        k = p.N // 2
         lower[k], upper[k] = center_interval(p, adjusted_half.interval(k))
-    return AcceptanceFamily(p, Stage.SYMMETRIZED, tuple(lower), tuple(upper))
+    return AcceptanceFamily(p, tuple(lower), tuple(upper))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperci import Params, amo_half, reflect_full
-from hyperci.acceptance import AcceptanceFamily, Stage
+from hyperci.acceptance import AcceptanceFamily
 from hyperci.core import attains_level, interval_weight, support, weight, weight_table
 from hyperci.oracle import exact_interval_prob, greedy_interval, min_level_interval
 
@@ -82,7 +82,7 @@ class TestGreedyHalfFamily:
         cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in alphas]
         cases += [(N, n, a) for N, n in [(400, 400), (400, 399), (401, 400), (33, 7)]
                   for a in (0.01, 0.2, Fraction(3, 5), Fraction(9, 10))]
-        cases += [(500, 100, 0.05), (365, 292, 0.1), (1000, 500, 0.05),
+        cases += [(120, 40, 0.05), (500, 100, 0.05), (365, 292, 0.1), (1000, 500, 0.05),
                   (2000, 1000, 0.05), (5000, 1000, 0.05)]
         for N, n, alpha in cases:
             p = Params(N, n, alpha)
@@ -100,15 +100,6 @@ class TestGreedyHalfFamily:
         ms = data.draw(st.lists(st.integers(0, N // 2), min_size=1, max_size=20))
         for M in ms:
             assert half.interval(M) == greedy_interval(p, M), M
-
-    def test_parallel_map_matches_sequential(self):
-        # (365, 292): the support starts above 0 from M = 74, so later blocks
-        # seed their first window past the support edge
-        for p in (Params(120, 40, 0.05), Params(365, 292, 0.10), Params(1000, 500, 0.05)):
-            seq = amo_half(p)
-            par = amo_half(p, workers=2)
-            assert seq.lower == par.lower and seq.upper == par.upper
-            assert intervals(par) == greedy_half(p)
 
     # the correction must reach the greedy interval from any window, not only
     # from the carried one: move each carried window before it is corrected.
@@ -186,16 +177,16 @@ class TestFamilyValidation:
     def test_interval_outside_support_rejected(self):
         p = Params(20, 6, 0.6)
         with pytest.raises(ValueError):
-            AcceptanceFamily(p, Stage.RAW, (0, 2), (0, 2))  # M=1 has x_max = 1
+            AcceptanceFamily(p, (0, 2), (0, 2))  # M=1 has x_max = 1
 
     def test_family_longer_than_population_rejected(self):
         p = Params(3, 2, 0.6)
         with pytest.raises(ValueError, match="M must be in"):
-            AcceptanceFamily(p, Stage.RAW, (0, 0, 1, 2, 2), (0, 1, 2, 2, 2))
+            AcceptanceFamily(p, (0, 0, 1, 2, 2), (0, 1, 2, 2, 2))
 
     def test_full_range_greedy_is_valid_family(self):
         p = Params(36, 10, 0.05)
         ints = [greedy_interval(p, M) for M in range(37)]
         lower, upper = zip(*ints)
-        fam = AcceptanceFamily(p, Stage.RAW, lower, upper)
+        fam = AcceptanceFamily(p, lower, upper)
         assert family_is_level(fam)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from hyperci import Params, certify
+from hyperci.acceptance import AcceptanceFamily
 from hyperci.certify import (
     CertificationReport,
     Tally,
@@ -52,6 +54,12 @@ class TestTargetedGrids:
         with pytest.raises(ValueError, match="capped"):
             run_certification(populations=[250])
 
+    @pytest.mark.parametrize("grid", [{"max_population": 0}, {"max_population": -3},
+                                      {"populations": [0, 3]}, {"populations": []}])
+    def test_empty_or_trimmed_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="N >= 1"):
+            run_certification(**grid)
+
     def test_workers_match_serial(self):
         serial = run_certification(max_population=6)
         parallel = run_certification(max_population=6, workers=2)
@@ -59,6 +67,24 @@ class TestTargetedGrids:
             t.name: t.instances for t in parallel.checks
         }
         assert serial.ok and parallel.ok
+
+
+class TestFamilyLevel:
+    # level at alpha = 9/10 and with mirrored lengths, but the first family
+    # breaks reflection (A(3) = [1, 1], not n - A(1) = [2, 2]) and the second
+    # monotone endpoints (A(1) = [1, 1], then A(2) = [0, 2]); the inversion
+    # that would also reject them is stubbed out
+    @pytest.mark.parametrize("lower, upper", [((0, 0, 1, 1, 2), (0, 0, 1, 1, 2)),
+                                              ((0, 1, 0, 1, 2), (0, 1, 2, 1, 2))])
+    def test_flags_broken_symmetrized_family(self, monkeypatch, lower, upper):
+        p = Params(4, 2, Fraction(9, 10))
+        tbl = certify.invert(certify.symmetrize(certify.adjust(certify.amo_half(p))[0], p))
+        broken = AcceptanceFamily(p, lower, upper)
+        monkeypatch.setattr(certify, "symmetrize", lambda adjusted, p: broken)
+        monkeypatch.setattr(certify, "invert", lambda fam: tbl)
+        t = certify.check_instance({"pivot_cap": 0, "subset_cap": 0}, (p.N, p.n, p.alpha))
+        assert t["family-level"].failures
+        assert not t["shift-level-preserved"].failures
 
 
 class TestReportMechanics:

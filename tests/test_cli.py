@@ -128,6 +128,16 @@ class TestTable:
             u - l + 1 for l, u in zip(tbl.lower, tbl.upper)
         )
 
+    def test_out_to_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, "table", "--N", "20", "--n", "6", "--alpha", "0.6", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert not path.parent.exists()
+
     def test_tsv_format(self, capsys):
         _, out, _ = run(
             capsys, "table", "--N", "20", "--n", "6", "--alpha", "0.6",
@@ -227,6 +237,14 @@ class TestCompare:
         ns = [l.split(",")[0] for l in out.splitlines()[2:] if l]
         assert ns == ["10", "20", "30"]
 
+    def test_empty_range_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "compare", "--N", "60", "--alpha", "0.1", "--n-list", "3:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: list '3:1' has no values\n"
+
     def test_invalid_n_rejected(self, capsys):
         code, _, err = run(
             capsys, "compare", "--N", "60", "--alpha", "0.1", "--n-list", "10,70"
@@ -283,7 +301,7 @@ class TestCertify:
         assert "FAILURES FOUND" in out
 
     def test_kernel_self_check_failure_exits_3(self, capsys, monkeypatch):
-        def broken(p, workers=0):
+        def broken(p):
             raise AssertionError("carried weights drifted; corrupt kernels")
 
         monkeypatch.setattr("hyperci.cli.cstar_table", broken)
@@ -308,3 +326,21 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--max-N", "300")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("grid", [("--max-N", "0"), ("--max-N", "-3"), ("--N-list", "0,3"),
+                                      ("--N-list", "")])
+    def test_empty_or_trimmed_grid_exits_2(self, capsys, grid):
+        code, out, err = run(capsys, "certify", *grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("alphas", [["1/0"], [], ["0.05", "1"], ["x"]])
+    def test_bad_alphas_exit_2(self, capsys, alphas):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--N-list", "5", "--alphas", *alphas])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert [l for l in err.splitlines() if "error:" in l] == [err.splitlines()[-1]]
+        assert "--alphas" in err.splitlines()[-1]

@@ -18,7 +18,7 @@ from hyperci import (
     table_to_csv,
     total_size_diff,
 )
-from hyperci.acceptance import AcceptanceFamily, Stage
+from hyperci.acceptance import AcceptanceFamily
 
 
 def pipeline(N, n, alpha):
@@ -50,13 +50,19 @@ class TestInvert:
 
     def test_non_monotone_family_rejected(self):
         p = Params(4, 2, 0.9)
-        fam = AcceptanceFamily(p, Stage.RAW, (0, 1, 0, 1, 2), (0, 1, 2, 2, 2))
+        fam = AcceptanceFamily(p, (0, 1, 0, 1, 2), (0, 1, 2, 2, 2))
         with pytest.raises(ValueError, match="nondecreasing"):
+            invert(fam)
+
+    def test_asymmetric_family_rejected(self):
+        # monotone, but A(3) = [1, 1] is not the mirror n - A(1) = [2, 2]
+        fam = AcceptanceFamily(Params(4, 2, 0.9), (0, 0, 1, 1, 2), (0, 0, 1, 1, 2))
+        with pytest.raises(ValueError, match="symmetry"):
             invert(fam)
 
     def test_family_with_gap_rejected(self):
         p = Params(4, 2, 0.9)
-        fam = AcceptanceFamily(p, Stage.RAW, (0, 0, 0, 2, 2), (0, 0, 0, 2, 2))
+        fam = AcceptanceFamily(p, (0, 0, 0, 2, 2), (0, 0, 0, 2, 2))
         with pytest.raises(ValueError, match="x=1"):
             invert(fam)
 
@@ -112,7 +118,7 @@ def _warp(fam, M, a, b):
         return None
     lower = fam.lower[:M] + (a,) + fam.lower[M + 1 :]
     upper = fam.upper[:M] + (b,) + fam.upper[M + 1 :]
-    fresh = AcceptanceFamily(p, Stage.RAW, lower, upper)
+    fresh = AcceptanceFamily(p, lower, upper)
     # must actually break family symmetry, not shift both mirrored entries
     N, n = p.N, p.n
     if all(fresh.lower[m] + fresh.upper[N - m] == n for m in range(N + 1)):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperci import Params, adjust, amo_half, center_interval, symmetrize
-from hyperci.acceptance import AcceptanceFamily, Stage
+from hyperci import Params, adjust, amo_half, center_interval, reflect_full, symmetrize
+from hyperci.acceptance import AcceptanceFamily
+from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import attains_level, support, weight_table
 from hyperci.oracle import greedy_interval
 
@@ -41,7 +42,7 @@ class TestAdjust:
         p = Params(100, 26, 0.01)
         ints = [greedy_interval(p, M) for M in range(101)]
         lower, upper = zip(*ints)
-        adjusted, trace = adjust(AcceptanceFamily(p, Stage.RAW, lower, upper))
+        adjusted, trace = adjust(AcceptanceFamily(p, lower, upper))
         assert 84 in trace.set_upper
         assert all(exact_level_ok(adjusted, M) for M in range(101))
         assert list(adjusted.lower) == sorted(adjusted.lower)
@@ -76,7 +77,7 @@ class TestAdjust:
         half = amo_half(p)
         # shrink M=5 to a single point, which falls below the level
         broken = AcceptanceFamily(
-            p, Stage.RAW, half.lower, half.upper[:5] + (half.lower[5],) + half.upper[6:]
+            p, half.lower, half.upper[:5] + (half.lower[5],) + half.upper[6:]
         )
         with pytest.raises(ValueError, match="M=5"):
             adjust(broken)
@@ -91,7 +92,7 @@ class TestAdjust:
         lower = half.lower[:M] + (a,) + half.lower[M + 1:]
         upper = half.upper[:M] + (b,) + half.upper[M + 1:]
         with pytest.raises(ValueError, match=f"at M={M}:"):
-            adjust(AcceptanceFamily(p, Stage.RAW, lower, upper))
+            adjust(AcceptanceFamily(p, lower, upper))
 
     # a doubled step drives the carried mass negative, which must not be
     # reported as a below-level input; a 0.1% error only drifts it
@@ -109,9 +110,9 @@ class TestAdjust:
         # every interval sits at the support's lower end, so each M's window
         # falls wholly or partly below the next support
         lower = (0, 0, 0, 1, 2, 3, 4)
-        adjust(AcceptanceFamily(Params(12, 10, 0.99), Stage.RAW, lower, lower))
+        adjust(AcceptanceFamily(Params(12, 10, 0.99), lower, lower))
         upper = (0, 1, 2, 3, 3, 4, 4)  # level until P_6([4, 4]) = 15/66
-        fam = AcceptanceFamily(Params(12, 10, 0.5), Stage.RAW, lower, upper)
+        fam = AcceptanceFamily(Params(12, 10, 0.5), lower, upper)
         with pytest.raises(ValueError, match="at M=6:"):
             adjust(fam)
 
@@ -194,6 +195,19 @@ class TestSymmetrize:
         assert sym.lower[k] <= sym.lower[k + 1]
         assert sym.upper[k] <= sym.upper[k + 1]
         assert family_is_level(sym)
+
+    def test_matches_reflect_full_away_from_center(self):
+        # both mirror through one helper; only the even-N centre differs
+        for N in range(1, 41):
+            for n in range(1, N + 1):
+                for alpha in DEFAULT_ALPHAS:
+                    p = Params(N, n, alpha)
+                    adjusted, _ = adjust(amo_half(p))
+                    sym, refl = symmetrize(adjusted, p), reflect_full(adjusted)
+                    assert len(sym) == len(refl) == N + 1
+                    for M in range(N + 1):
+                        if 2 * M != N:
+                            assert sym.interval(M) == refl.interval(M), (N, n, alpha, M)
 
     def test_fraction_and_float_alpha_agree(self):
         pf = Params(20, 6, 0.6)
