@@ -63,6 +63,41 @@ class AcceptanceFamily:
     def total_size(self) -> int:
         return sum(b - a + 1 for a, b in zip(self.lower, self.upper))
 
+    def masses(self) -> list:
+        """Exact weight sum of each interval, for M = 0..len-1, in one sweep.
+
+        ``carry_window`` moves the window and its mass to M+1, then endpoint
+        steps reach the next interval; the last mass must equal its sum.
+        """
+        p = self.params
+        a, b = self.interval(0)
+        w_a, w_b = weight(0, a, p), weight(0, b, p)
+        mass = interval_weight(0, a, b, p)
+        out = []
+        for M, (a_new, b_new) in enumerate(zip(self.lower, self.upper)):
+            if M:
+                a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
+                while b < b_new:
+                    w_b = step_up(w_b, M, b, p)
+                    b += 1
+                    mass += w_b
+                while a > a_new:
+                    w_a = step_down(w_a, M, a, p)
+                    a -= 1
+                    mass += w_a
+                while a < a_new:
+                    mass -= w_a
+                    w_a = step_up(w_a, M, a, p)
+                    a += 1
+                while b > b_new:
+                    mass -= w_b
+                    w_b = step_down(w_b, M, b, p)
+                    b -= 1
+            out.append(mass)
+        if mass != interval_weight(len(self) - 1, a, b, p):
+            raise AssertionError(DRIFTED)
+        return out
+
 
 def _greedy_sweep(p: Params) -> list:
     """Greedy intervals for M = 0..floor(N/2), each carried over from the last.

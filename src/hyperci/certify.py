@@ -222,11 +222,11 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     t.hit("coverage-exactness", 1, None if not bad else f"{tag} M={bad[:3]}")
 
     # pivot table rows equal the per-x binary search; on small N also the
-    # linear-scan fallback and the monotone-tails premise
+    # oracle's linear scan and the monotone-tails premise
     ok = all(pivot_ci(x, p) == ptbl.interval(x) for x in range(n + 1))
     t.hit("pivot-consistency", 1, None if ok else f"{tag} pivot rows differ")
     if N <= cfg["pivot_cap"]:
-        ok = all(pivot_ci(x, p, scan=True) == ptbl.interval(x) for x in range(n + 1))
+        ok = all(oracle.pivot_scan(x, p) == ptbl.interval(x) for x in range(n + 1))
         t.hit("pivot-scan-differential", 1, None if ok else f"{tag} scan differs")
         mono = True
         for x in range(n + 1):
@@ -457,16 +457,20 @@ def run_certification(
     pivot_cap: int = 20,
     workers: int = 0,
 ) -> CertificationReport:
-    """Run every check over the grid; N values default to 1..max_population."""
+    """Run every check over the grid; N values default to 1..max_population.
+
+    A repeated N or alpha runs once: N values are sorted, alphas keep the
+    order of their first occurrence.
+    """
     if max_population > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
-    ns = sorted(populations) if populations is not None else range(1, max_population + 1)
+    ns = sorted(set(populations)) if populations is not None else range(1, max_population + 1)
     if not ns or ns[0] < 1:
         found = f"N={ns[0]}" if ns else "no N"
         raise ValueError(f"grid needs at least one N and every N >= 1; got {found}")
     if ns[-1] > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
-    alphas = tuple(Fraction(a) if not isinstance(a, Fraction) else a for a in alphas)
+    alphas = tuple(dict.fromkeys(Fraction(a) for a in alphas))  # first occurrence kept
     cfg = {
         "alphas": alphas,
         "property_cap": property_cap,

@@ -9,11 +9,11 @@ deterministic, the timing footer is not and can be suppressed with
 --no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error
 (bad input, or an --out path that cannot be written), 3 internal error (a
 failed kernel self-check).
-coverage, compare and certify map over independent items (M values, n
-values, grid instances); their worker count comes from HYPERCI_WORKERS (a
-nonnegative integer, capped at the CPU count). Alpha is a decimal (a float)
-or a fraction such as 3/5 (an exact rational); certify's --alphas are always
-exact rationals.
+coverage is one carried sweep over M. compare and certify map over
+independent items (n values, grid instances); their worker count comes
+from HYPERCI_WORKERS (a nonnegative integer, capped at the CPU count).
+Alpha is a decimal (a float) or a fraction such as 3/5 (an exact
+rational); certify's --alphas are always exact rationals.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import partial
 
 from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
-from .invert import ConfidenceTable, coverage, cstar_table, table_to_csv
+from .invert import ConfidenceTable, acceptance_of, cstar_table, table_to_csv
 from .parallel import pmap
 from .pivot import pivot_table
 
@@ -115,9 +115,8 @@ def cmd_coverage(args) -> int:
         [f"# hyperci coverage N={p.N} n={p.n} alpha={p.alpha} method={args.method}"],
         ["M", "coverage"],
     ]
-    values = pmap(coverage, tbl, range(p.N + 1), args.workers)
-    for M, cov in enumerate(values):
-        lines.append([str(M), f"{cov:.12f}"])
+    for M, mass in enumerate(acceptance_of(tbl).masses()):
+        lines.append([str(M), f"{mass / p.total_weight:.12f}"])
     _emit(args, lines)
     return 0
 
@@ -179,6 +178,13 @@ def _parse_int_list(text: str) -> list:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, ``error: <message>``, and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_common(sub, with_n=True, with_method=True):
     sub.add_argument("--N", type=int, required=True, help="population size")
     if with_n:
@@ -200,7 +206,7 @@ def _add_common(sub, with_n=True, with_method=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperci",
         description="Exact confidence intervals for the hypergeometric count "
         "of special items in a population",

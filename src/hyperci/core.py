@@ -21,9 +21,9 @@ to ``C(N,n)`` over the support for every M:
   identity (N-M)(W_{M+1}[a,b] - W_M[a,b]) = (n-a+1) w_M(a-1) - (n-b) w_M(b)
   moves a window or tail mass; a carried point that falls below the new
   support's lower end max(0, M+1+n-N) is reseeded from ``weight``.
-  ``carry_window`` is the one window move: the greedy sweep carries each
-  acceptance interval with it and corrects it by endpoint moves, and the
-  ``adjust`` level guard carries its window with it;
+  ``carry_window`` is the one window move; its two callers are the greedy
+  sweep (``acceptance._greedy_sweep``) and ``AcceptanceFamily.masses``,
+  which serves the ``adjust`` level guard and all-M coverage;
 * ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
 """
 

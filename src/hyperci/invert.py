@@ -2,8 +2,8 @@
 
 C(x) = {M : x in A(M)}. With nondecreasing endpoint sequences this set is
 an interval [L(x), U(x)], recovered by one merged sweep over M (no per-x
-searches). Coverage at M sums the pmf over the x whose interval contains
-M, located by bisection since L and U are monotone.
+searches). ``coverage`` at one M bisects for the x whose interval holds M;
+all-M coverage is one sweep, ``acceptance_of(tbl).masses()`` over C(N, n).
 """
 
 from __future__ import annotations

@@ -16,17 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acceptance import AcceptanceFamily, _mirror
-from .core import (
-    DRIFTED,
-    Params,
-    attains_level,
-    carry_window,
-    interval_weight,
-    lower_quantile,
-    step_down,
-    step_up,
-    weight,
-)
+from .core import DRIFTED, Params, attains_level, interval_weight, lower_quantile
 
 
 @dataclass(frozen=True)
@@ -52,46 +42,18 @@ class AdjustmentTrace:
 def _check_level(fam: AcceptanceFamily) -> None:
     """Raise ValueError naming the first M whose interval is below level.
 
-    Sweeps M upward carrying the window [a, b], its endpoint weights and its
-    mass: ``carry_window`` moves them to M+1, then step_up/step_down walk
-    each endpoint to the next interval. The cost is O(len + endpoint drift)
-    for any family, so families built outside the greedy step are checked
-    as cheaply as greedy ones. A below-level mass is re-summed by
-    interval_weight before the input is blamed, and the last mass must
-    equal its sum.
+    A below-level mass from ``fam.masses()`` is re-summed by
+    interval_weight before the input is blamed.
     """
     p = fam.params
-    a, b = fam.interval(0)
-    w_a, w_b = weight(0, a, p), weight(0, b, p)
-    mass = interval_weight(0, a, b, p)
-    for M, (a_new, b_new) in enumerate(zip(fam.lower, fam.upper)):
-        if M:
-            a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
-            while b < b_new:
-                w_b = step_up(w_b, M, b, p)
-                b += 1
-                mass += w_b
-            while a > a_new:
-                w_a = step_down(w_a, M, a, p)
-                a -= 1
-                mass += w_a
-            while a < a_new:
-                mass -= w_a
-                w_a = step_up(w_a, M, a, p)
-                a += 1
-            while b > b_new:
-                mass -= w_b
-                w_b = step_down(w_b, M, b, p)
-                b -= 1
+    for M, mass in enumerate(fam.masses()):
         if not attains_level(mass, p):
-            if mass != interval_weight(M, a, b, p):
+            if mass != interval_weight(M, *fam.interval(M), p):
                 raise AssertionError(DRIFTED)
             raise ValueError(
                 f"input family is not level alpha at M={M}: "
                 f"interval {fam.interval(M)} has mass {mass}/{p.total_weight}"
             )
-    if mass != interval_weight(len(fam) - 1, a, b, p):
-        raise AssertionError(DRIFTED)
 
 
 def adjust(half: AcceptanceFamily) -> tuple:

@@ -259,6 +259,21 @@ def unimodal_peak(a: int, b: int, p: Params) -> int:
     raise AssertionError("boundary comparison never flipped; corrupt kernels")
 
 
+def pivot_scan(x: int, p: Params) -> tuple:
+    """Equal-tail pivot interval [L, U] for one x, by linear scans over M.
+
+    L is the first M whose upper tail P_M(X >= x) exceeds alpha/2 and U the
+    last whose lower tail P_M(X <= x) does. The tails are prefix-row window
+    masses, so this checks both ``pivot_ci``'s searches and its tail kernels.
+    """
+    _check_cap(p)
+    num, den = (p.alpha / 2).as_integer_ratio()
+    bar = num * p.total_weight  # a tail weight must exceed bar / den
+    lower = next(M for M in range(p.N + 1) if window_mass(prefix_row(M, p), x, p.n) * den > bar)
+    upper = next(M for M in range(p.N, -1, -1) if window_mass(prefix_row(M, p), 0, x) * den > bar)
+    return (lower, upper)
+
+
 def exact_coverage(tbl: ConfidenceTable, M: int) -> Fraction:
     """Rational coverage probability of a confidence table at M."""
     _check_cap(tbl.params)

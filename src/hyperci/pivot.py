@@ -26,12 +26,8 @@ def _lower_tail_weight(M: int, x: int, p: Params) -> int:
     return p.total_weight - _upper_tail_weight(M, x + 1, p)
 
 
-def pivot_ci(x: int, p: Params, alpha1=None, alpha2=None, scan: bool = False) -> tuple:
-    """Interval [L, U] for one observation; defaults to equal tails alpha/2.
-
-    scan=True replaces the binary searches with linear scans, kept only for
-    differential verification of the search bounds.
-    """
+def pivot_ci(x: int, p: Params, alpha1=None, alpha2=None) -> tuple:
+    """Interval [L, U] for one observation; defaults to equal tails alpha/2."""
     if not 0 <= x <= p.n:
         raise ValueError(f"x must be in [0, {p.n}], got {x}")
     if alpha1 is None and alpha2 is None:
@@ -48,11 +44,6 @@ def pivot_ci(x: int, p: Params, alpha1=None, alpha2=None, scan: bool = False) ->
 
     def lower_tail_exceeds(M):
         return weight_exceeds(_lower_tail_weight(M, x, p), alpha2, p)
-
-    if scan:
-        lower = next(M for M in range(p.N + 1) if upper_tail_exceeds(M))
-        upper = next(M for M in range(p.N, -1, -1) if lower_tail_exceeds(M))
-        return (lower, upper)
 
     # P_M(X >= x) is nondecreasing in M and reaches 1 at M = N
     lo, hi = 0, p.N

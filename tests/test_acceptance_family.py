@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperci import Params, amo_half, reflect_full
+from hyperci import Params, acceptance_of, adjust, amo_half, cstar_table, reflect_full, symmetrize
 from hyperci.acceptance import AcceptanceFamily
 from hyperci.core import attains_level, interval_weight, support, weight, weight_table
-from hyperci.oracle import exact_interval_prob, greedy_interval, min_level_interval
+from hyperci.oracle import (
+    exact_interval_prob,
+    greedy_interval,
+    min_level_interval,
+    prefix_row,
+    window_mass,
+)
 
 
 def greedy_half(p):
@@ -190,3 +196,48 @@ class TestFamilyValidation:
         lower, upper = zip(*ints)
         fam = AcceptanceFamily(p, lower, upper)
         assert family_is_level(fam)
+
+
+def oracle_masses(fam):
+    p = fam.params
+    return [window_mass(prefix_row(M, p), a, b) for M, (a, b) in enumerate(intervals(fam))]
+
+
+class TestMasses:
+    def test_pipeline_families_match_oracle(self):
+        for N in range(1, 41):
+            for n in range(1, N + 1):
+                for alpha in (Fraction(1, 20), Fraction(3, 5)):
+                    p = Params(N, n, alpha)
+                    half = amo_half(p)
+                    sym = symmetrize(adjust(half)[0], p)
+                    for fam in (half, sym, reflect_full(half)):
+                        assert fam.masses() == oracle_masses(fam), (N, n, alpha)
+
+    # any in-support family, monotone or not, and shorter than M = 0..N
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_family_matches_oracle(self, data):
+        N = data.draw(st.integers(1, 40))
+        n = data.draw(st.integers(1, N))
+        p = Params(N, n, Fraction(1, 20))
+        lower, upper = [], []
+        for M in range(data.draw(st.integers(1, N + 1))):
+            lo, hi = support(M, p)
+            a, b = sorted(data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2)))
+            lower.append(a)
+            upper.append(b)
+        fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
+        assert fam.masses() == oracle_masses(fam)
+
+    # a doubled step_m, and one that drifts by 0.1%, must fail the sweep's
+    # end check; the family is built before the kernel is corrupted
+    @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
+    def test_corrupt_kernel_fails_the_end_check(self, monkeypatch, num, den):
+        import hyperci.core as core
+
+        fam = acceptance_of(cstar_table(Params(40, 13, 0.2)))
+        step = core.step_m
+        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        with pytest.raises(AssertionError, match="corrupt kernels"):
+            fam.masses()

@@ -60,6 +60,16 @@ class TestTargetedGrids:
         with pytest.raises(ValueError, match="N >= 1"):
             run_certification(**grid)
 
+    def test_repeated_values_run_once(self):
+        assert run_certification(populations=[3, 3]) == run_certification(populations=[3])
+        repeated = run_certification(
+            populations=[5], alphas=(Fraction(3, 5), Fraction(1, 20), Fraction("0.6"))
+        )
+        assert repeated == run_certification(
+            populations=[5], alphas=(Fraction(3, 5), Fraction(1, 20))
+        )
+        assert repeated.grid.endswith("alphas = 3/5, 1/20")
+
     def test_workers_match_serial(self):
         serial = run_certification(max_population=6)
         parallel = run_certification(max_population=6, workers=2)

@@ -88,7 +88,7 @@ class TestTable:
         assert run(capsys, *args) == run(capsys, *args)
 
     def test_worker_pool_output_identical(self, capsys, monkeypatch):
-        args = ("coverage", "--N", "40", "--n", "15", "--alpha", "0.1")
+        args = ("compare", "--N", "60", "--alpha", "0.1", "--n-list", "5:55:10", "--no-timing")
         serial = run(capsys, *args)
         monkeypatch.setenv("HYPERCI_WORKERS", "2")
         assert run(capsys, *args) == serial
@@ -164,6 +164,29 @@ class TestTable:
         assert len(cell_ends) == 1
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["ci", "--N", "20", "--n", "6", "--x", "3", "--alpha", "1.5"],
+        ["certify", "--alphas", "1/0"],
+        ["ci", "--n", "6", "--x", "3", "--alpha", "0.5"],
+        [],
+    ])
+    def test_one_stderr_line_and_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: hyperci coverage") and err == ""
+
+
 class TestWorkers:
     @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
     def test_bad_value_exits_2(self, capsys, monkeypatch, value):
@@ -212,6 +235,21 @@ class TestCoverage:
         cov_c, cov_p = parse(out_c), parse(out_p)
         for M in (1, 2, 3, 57, 58, 59):
             assert cov_p[M] >= cov_c[M]
+
+    # the sweep's end check must catch a doubled step_m and a 0.1% drift;
+    # the table is built before the kernel is corrupted
+    @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
+    def test_corrupt_step_m_exits_3(self, capsys, monkeypatch, num, den):
+        import hyperci.core as core
+
+        tbl = cstar_table(Params(40, 13, 0.2))
+        monkeypatch.setattr("hyperci.cli.cstar_table", lambda p: tbl)
+        step = core.step_m
+        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        code, out, err = run(capsys, "coverage", "--N", "40", "--n", "13", "--alpha", "0.2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 class TestCompare:
@@ -279,6 +317,13 @@ class TestCertify:
         )
         assert code == 0
         assert "alphas = 1/20, 1/5" in out
+
+    @pytest.mark.parametrize("repeated, single", [
+        (["--N-list", "3,3"], ["--N-list", "3"]),
+        (["--N-list", "5", "--alphas", "1/20", "0.05"], ["--N-list", "5", "--alphas", "1/20"]),
+    ])
+    def test_repeated_grid_values_run_once(self, capsys, repeated, single):
+        assert run(capsys, "certify", *repeated) == run(capsys, "certify", *single)
 
     def test_report_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"

@@ -13,6 +13,7 @@ from hyperci import (
     coverage,
     cstar_table,
     invert,
+    pivot_table,
     symmetrize,
     table_from_csv,
     table_to_csv,
@@ -166,6 +167,18 @@ class TestCoverage:
                 if tbl.lower[x] <= M <= tbl.upper[x]
             )
             assert coverage(tbl, M) == pytest.approx(direct, abs=1e-12)
+
+    # the all-M sweep and the one-M function round the same integer once,
+    # so the floats are equal, not just close
+    def test_all_m_sweep_equals_per_m_coverage(self):
+        alphas = [Fraction(k, d) for k, d in [(1, 100), (1, 20), (1, 10), (1, 5), (3, 5)]]
+        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in alphas + [0.05]]
+        cases += [(2000, 1000, 0.05), (100000, 20, 0.05)]
+        for N, n, alpha in cases:
+            p = Params(N, n, alpha)
+            for tbl in (cstar_table(p), pivot_table(p)):
+                swept = [m / p.total_weight for m in acceptance_of(tbl).masses()]
+                assert swept == [coverage(tbl, M) for M in range(N + 1)], (N, n, alpha)
 
     def test_middle_acceptance_interval_holds_level(self):
         from hyperci.core import interval_prob

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hyperci import Params, pivot_ci, pivot_table
 from hyperci.core import lower_quantile
+from hyperci.oracle import pivot_scan
 from hyperci.pivot import _lower_tail_weight, _upper_tail_weight
 
 from reference_tables import COMPETITOR_L, COMPETITOR_U
@@ -139,4 +140,4 @@ def test_binary_search_matches_linear_scan(data):
     alpha = data.draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.6]))
     x = data.draw(st.integers(0, n))
     p = Params(N, n, alpha)
-    assert pivot_ci(x, p) == pivot_ci(x, p, scan=True)
+    assert pivot_ci(x, p) == pivot_scan(x, p)
