@@ -13,7 +13,6 @@ from .acceptance import AcceptanceFamily, amo_half, reflect_full
 from .certify import CertificationReport, run_certification
 from .core import (
     Params,
-    Support,
     interval_prob,
     log_pmf,
     lower_tail,
@@ -51,7 +50,6 @@ __all__ = [
     "ConfidenceTable",
     "Method",
     "Params",
-    "Support",
     "acceptance_of",
     "adjust",
     "amo_half",

@@ -20,6 +20,7 @@ output is a deterministic function of (N, n, alpha).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import DRIFTED, Params, carry_window, interval_weight, step_down, step_up, weight
@@ -29,10 +30,8 @@ from .core import DRIFTED, Params, carry_window, interval_weight, step_down, ste
 class AcceptanceFamily:
     """Per-M acceptance intervals [lower[M], upper[M]] for M = 0..len-1.
 
-    The constructor checks only that each interval lies in its support.
-    Reflection symmetry and monotone endpoints are checked where they are
-    needed: ``invert`` requires nondecreasing endpoints over M = 0..N, and
-    the ``ConfidenceTable`` it builds requires symmetry.
+    The constructor checks only that each interval lies in its support;
+    the ``invert`` module says where the other invariants are checked.
     """
 
     params: Params
@@ -64,43 +63,47 @@ class AcceptanceFamily:
         return sum(b - a + 1 for a, b in zip(self.lower, self.upper))
 
     def masses(self) -> list:
-        """Exact weight sum of each interval, for M = 0..len-1, in one sweep.
-
-        ``carry_window`` moves the window and its mass to M+1, then endpoint
-        steps reach the next interval; the last mass must equal its sum.
-        """
-        p = self.params
-        a, b = self.interval(0)
-        w_a, w_b = weight(0, a, p), weight(0, b, p)
-        mass = interval_weight(0, a, b, p)
-        out = []
-        for M, (a_new, b_new) in enumerate(zip(self.lower, self.upper)):
-            if M:
-                a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
-                while b < b_new:
-                    w_b = step_up(w_b, M, b, p)
-                    b += 1
-                    mass += w_b
-                while a > a_new:
-                    w_a = step_down(w_a, M, a, p)
-                    a -= 1
-                    mass += w_a
-                while a < a_new:
-                    mass -= w_a
-                    w_a = step_up(w_a, M, a, p)
-                    a += 1
-                while b > b_new:
-                    mass -= w_b
-                    w_b = step_down(w_b, M, b, p)
-                    b -= 1
-            out.append(mass)
-        if mass != interval_weight(len(self) - 1, a, b, p):
-            raise AssertionError(DRIFTED)
-        return out
+        """Exact weight sum of each interval, for M = 0..len-1 (``interval_masses``)."""
+        return list(interval_masses(self.params, self.lower, self.upper))
 
 
-def _greedy_sweep(p: Params) -> list:
-    """Greedy intervals for M = 0..floor(N/2), each carried over from the last.
+def interval_masses(p: Params, lower, upper) -> Iterator[int]:
+    """Yield the exact weight sum of each [lower[M], upper[M]], M = 0, 1, ...
+
+    One sweep; the intervals must lie in their supports. ``carry_window``
+    moves the window and its mass to M+1, then endpoint steps reach the
+    next interval; once the sweep is exhausted, the last mass must equal
+    its sum.
+    """
+    a, b = lower[0], upper[0]
+    w_a, w_b = weight(0, a, p), weight(0, b, p)
+    mass = interval_weight(0, a, b, p)
+    for M, (a_new, b_new) in enumerate(zip(lower, upper)):
+        if M:
+            a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
+            while b < b_new:
+                w_b = step_up(w_b, M, b, p)
+                b += 1
+                mass += w_b
+            while a > a_new:
+                w_a = step_down(w_a, M, a, p)
+                a -= 1
+                mass += w_a
+            while a < a_new:
+                mass -= w_a
+                w_a = step_up(w_a, M, a, p)
+                a += 1
+            while b > b_new:
+                mass -= w_b
+                w_b = step_down(w_b, M, b, p)
+                b -= 1
+        yield mass
+    if mass != interval_weight(M, a, b, p):
+        raise AssertionError(DRIFTED)
+
+
+def _greedy_sweep(p: Params) -> tuple:
+    """Greedy endpoint lists (lower, upper) for M = 0..floor(N/2), each carried.
 
     M = 0 starts from its one-point support {0}. Each later M takes the
     previous window (a, b, w_a, w_b, mass) through ``carry_window``, then
@@ -118,7 +121,7 @@ def _greedy_sweep(p: Params) -> list:
     bar = (den - num) * p.total_weight  # the mass must reach bar / den
     a = b = 0
     w_a = w_b = mass = weight(0, 0, p)
-    out = []
+    lower, upper = [], []
     for M in range(N // 2 + 1):
         if M:
             a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
@@ -172,33 +175,33 @@ def _greedy_sweep(p: Params) -> list:
                 w_a, w_left = w_left, step_down(w_left, M, a, p)
             else:
                 raise AssertionError("full support below the level; corrupt kernels")
-        out.append((a, b))
+        lower.append(a)
+        upper.append(b)
     if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
         raise AssertionError(DRIFTED)
-    return out
+    return lower, upper
 
 
 def amo_half(p: Params) -> AcceptanceFamily:
     """Greedy acceptance intervals for M = 0..floor(N/2), in one sweep."""
-    lower, upper = zip(*_greedy_sweep(p))
-    return AcceptanceFamily(p, lower, upper)
+    lower, upper = _greedy_sweep(p)
+    return AcceptanceFamily(p, tuple(lower), tuple(upper))
 
 
-def _mirror(half: AcceptanceFamily) -> tuple:
-    """Endpoint lists over M = 0..N from a half-family over 0..floor(N/2).
+def _mirror(p: Params, lower, upper) -> tuple:
+    """Endpoint lists over M = 0..N from half lists over 0..floor(N/2).
 
     M <= N/2 keeps the half's interval; M > N/2 takes the reflection
     a_M = n - b_{N-M}, b_M = n - a_{N-M}.
     """
-    p = half.params
     N, n = p.N, p.n
     k = N // 2
-    if len(half) != k + 1:
-        raise ValueError(f"expected a half-family over 0..{k}, got length {len(half)}")
+    if len(lower) != k + 1:
+        raise ValueError(f"expected a half-family over 0..{k}, got length {len(lower)}")
     below = (N + 1) // 2  # the M < N/2 that the upper half mirrors
-    lower = list(half.lower) + [n - b for b in reversed(half.upper[:below])]
-    upper = list(half.upper) + [n - a for a in reversed(half.lower[:below])]
-    return lower, upper
+    full_lower = list(lower) + [n - b for b in reversed(upper[:below])]
+    full_upper = list(upper) + [n - a for a in reversed(lower[:below])]
+    return full_lower, full_upper
 
 
 def reflect_full(half: AcceptanceFamily) -> AcceptanceFamily:
@@ -207,5 +210,5 @@ def reflect_full(half: AcceptanceFamily) -> AcceptanceFamily:
     For even N the index N/2 reflects onto itself; the half-family's own
     entry is kept (the symmetrizing step replaces it anyway).
     """
-    lower, upper = _mirror(half)
+    lower, upper = _mirror(half.params, half.lower, half.upper)
     return AcceptanceFamily(half.params, tuple(lower), tuple(upper))

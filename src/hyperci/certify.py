@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import oracle
 from .acceptance import amo_half, reflect_full
-from .core import Params, mode, support, weight_table
+from .core import Params, mode, support
 from .invert import acceptance_of, invert
 from .monotonize import adjust, center_interval, symmetrize
 from .parallel import pmap
@@ -29,6 +29,12 @@ DEFAULT_ALPHAS = (
 )
 
 MAX_FAILURES_KEPT = 12
+
+# largest N (n for SUBSET_CAP in check_instance) of the costlier checks
+PROPERTY_CAP = 20  # pmf shape, MLR, the mass identity, peak shifts
+RATIO_CAP = 25     # pmf-ratio order and interval-mass peak shape
+SUBSET_CAP = 12    # subset enumeration
+PIVOT_CAP = 20     # the oracle's linear pivot scan
 
 
 @dataclass
@@ -84,11 +90,6 @@ class CertificationReport:
     def gap_instances(self) -> int:
         """Even-parity instances where |C*| sits one above the set bound."""
         return self.metric("size-optimality", "set_gap_instances") or 0
-
-    @property
-    def max_shift(self) -> int:
-        found = self.metric("shift-metrics", "max_delta")
-        return found[0] if found else 0
 
     def render(self) -> str:
         lines = [f"certification grid: {self.grid}"]
@@ -225,8 +226,8 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     # oracle's linear scan and the monotone-tails premise
     ok = all(pivot_ci(x, p) == ptbl.interval(x) for x in range(n + 1))
     t.hit("pivot-consistency", 1, None if ok else f"{tag} pivot rows differ")
-    if N <= cfg["pivot_cap"]:
-        ok = all(oracle.pivot_scan(x, p) == ptbl.interval(x) for x in range(n + 1))
+    if N <= PIVOT_CAP:
+        ok = oracle.pivot_scan(p) == list(zip(ptbl.lower, ptbl.upper))
         t.hit("pivot-scan-differential", 1, None if ok else f"{tag} scan differs")
         mono = True
         for x in range(n + 1):
@@ -265,7 +266,7 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
         ok = gap == 1 and sym.interval(10) == (2, 4)
         t.hit("adversarial-even-case", 1, None if ok else f"{tag} expected +1 gap at [2,4]")
 
-    if N % 2 == 0 and n <= cfg["subset_cap"]:
+    if N % 2 == 0 and n <= SUBSET_CAP:
         ok = oracle.min_symmetric_set_size_bruteforce(p, alpha) == oracle.min_symmetric_set_size(p, alpha)
         t.hit("symmetric-set-bruteforce", 1, None if ok else f"{tag} greedy != subset search")
     return t
@@ -278,16 +279,14 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
     tag = f"(N={N}, n={n})"
     p = Params(N, n, 0.5)  # alpha unused by these checks
     rows = [oracle.prefix_row(M, p) for M in range(N + 1)]
-    weights = [weight_table(M, p) for M in range(N + 1)]
+    weights = [oracle.weight_table(M, p) for M in range(N + 1)]
     supports = [support(M, p) for M in range(N + 1)]
-    property_cap = N <= cfg["property_cap"]
-    ratio_cap = N <= cfg["ratio_cap"]
 
     def w_of(M, x):
         lo, hi = supports[M]
         return weights[M][x - lo] if lo <= x <= hi else 0
 
-    if property_cap:
+    if N <= PROPERTY_CAP:
         # pmf reflection across (M, x) -> (N-M, n-x)
         ok = all(
             w_of(M, x) == w_of(N - M, n - x)
@@ -339,7 +338,7 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
                     ok = ok and lhs == rhs
         t.hit("interval-mass-identity", 1, None if ok else f"{tag} identity broken")
 
-    if ratio_cap:
+    if N <= RATIO_CAP:
         # pmf ratios strictly increasing in M where both stay positive
         ok = True
         for x1 in range(n + 1):
@@ -368,7 +367,7 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
                         ok = False
         t.hit("interval-peak-shape", 1, None if ok else f"{tag} peak shape broken")
 
-    if property_cap:
+    if N <= PROPERTY_CAP:
         # shifting an interval right never moves its peak left, and beyond
         # the shifted peak the shifted interval dominates
         ok = True
@@ -402,7 +401,7 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
             )
             t.hit("optimal-interval-coupling", 1, None if ok else f"{tag} a={alpha}")
 
-    if N <= cfg["subset_cap"]:
+    if N <= SUBSET_CAP:
         # a window always achieves the best mass any same-size subset can
         # (the k largest pmf values); tiny supports re-verify by enumeration
         ok = True
@@ -451,10 +450,6 @@ def run_certification(
     max_population: int = 40,
     alphas=DEFAULT_ALPHAS,
     populations=None,
-    property_cap: int = 20,
-    ratio_cap: int = 25,
-    subset_cap: int = 12,
-    pivot_cap: int = 20,
     workers: int = 0,
 ) -> CertificationReport:
     """Run every check over the grid; N values default to 1..max_population.
@@ -471,19 +466,13 @@ def run_certification(
     if ns[-1] > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
     alphas = tuple(dict.fromkeys(Fraction(a) for a in alphas))  # first occurrence kept
-    cfg = {
-        "alphas": alphas,
-        "property_cap": property_cap,
-        "ratio_cap": ratio_cap,
-        "subset_cap": subset_cap,
-        "pivot_cap": pivot_cap,
-    }
+    cfg = {"alphas": alphas}
     instances = [(N, n, a) for N in ns for n in range(1, N + 1) for a in alphas]
     pairs = [
         (N, n)
         for N in ns
         for n in range(1, N + 1)
-        if N <= max(property_cap, ratio_cap, subset_cap)
+        if N <= max(PROPERTY_CAP, RATIO_CAP, SUBSET_CAP)
     ]
     merged = Tallies()
     for part in pmap(check_instance, cfg, instances, workers):

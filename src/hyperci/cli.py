@@ -11,7 +11,8 @@ deterministic, the timing footer is not and can be suppressed with
 failed kernel self-check).
 coverage is one carried sweep over M. compare and certify map over
 independent items (n values, grid instances); their worker count comes
-from HYPERCI_WORKERS (a nonnegative integer, capped at the CPU count).
+from HYPERCI_WORKERS (a nonnegative integer, capped at the CPU count),
+which only those two subcommands read.
 Alpha is a decimal (a float) or a fraction such as 3/5 (an exact
 rational); certify's --alphas are always exact rationals.
 """
@@ -141,7 +142,7 @@ def cmd_compare(args) -> int:
         [f"# hyperci compare N={args.N} alpha={args.alpha}"],
         ["n", "size_cstar", "size_pivot", "diff", "time_cstar_ms", "time_pivot_ms"],
     ]
-    rows = pmap(_compare_one, (args.N, args.alpha), ns, args.workers)
+    rows = pmap(_compare_one, (args.N, args.alpha), ns, _workers())
     for n, size_cstar, size_pivot, t_cstar, t_pivot in rows:
         t1 = "0.000" if args.no_timing else f"{t_cstar:.3f}"
         t2 = "0.000" if args.no_timing else f"{t_pivot:.3f}"
@@ -158,7 +159,7 @@ def cmd_certify(args) -> int:
         max_population=args.max_N,
         alphas=args.alphas,
         populations=populations,
-        workers=args.workers,
+        workers=_workers(),
     )
     _write(args, report.render())
     return 0 if report.ok else 1
@@ -252,7 +253,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.workers = _workers()
         return args.fn(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,8 +22,8 @@ to ``C(N,n)`` over the support for every M:
   moves a window or tail mass; a carried point that falls below the new
   support's lower end max(0, M+1+n-N) is reseeded from ``weight``.
   ``carry_window`` is the one window move; its two callers are the greedy
-  sweep (``acceptance._greedy_sweep``) and ``AcceptanceFamily.masses``,
-  which serves the ``adjust`` level guard and all-M coverage;
+  sweep (``acceptance._greedy_sweep``) and ``acceptance.interval_masses``,
+  which serves the level checks and all-M coverage;
 * ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
 """
 
@@ -32,20 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 AlphaLike = Union[float, Fraction]
 
 NEG_INF = float("-inf")
 
 DRIFTED = "carried window mass drifted; corrupt kernels"
-
-
-class Support(NamedTuple):
-    """Range of x with positive probability: [max(0, M+n-N), min(M, n)]."""
-
-    x_min: int
-    x_max: int
 
 
 @dataclass(frozen=True)
@@ -84,10 +77,10 @@ class Params:
             raise ValueError(f"M must be in [0, {self.N}], got {M}")
 
 
-def support(M: int, p: Params) -> Support:
-    """Endpoints of the set of x where the pmf is nonzero."""
+def support(M: int, p: Params) -> tuple:
+    """(lo, hi) = (max(0, M+n-N), min(M, n)), the x where the pmf is nonzero."""
     p.check_m(M)
-    return Support(max(0, M + p.n - p.N), min(M, p.n))
+    return (max(0, M + p.n - p.N), min(M, p.n))
 
 
 def mode(M: int, p: Params) -> int:
@@ -150,18 +143,6 @@ def weight(M: int, x: int, p: Params) -> int:
     if x < max(0, M + p.n - p.N) or x > min(M, p.n):
         return 0
     return math.comb(M, x) * math.comb(p.N - M, p.n - x)
-
-
-def weight_table(M: int, p: Params) -> list:
-    """Weights over the support, built by the adjacent-ratio recurrence."""
-    lo, hi = support(M, p)
-    N, n = p.N, p.n
-    w = weight(M, lo, p)
-    out = [w]
-    for x in range(lo, hi):
-        w = w * (M - x) * (n - x) // ((x + 1) * (N - M - n + x + 1))
-        out.append(w)
-    return out
 
 
 def interval_weight(M: int, a: int, b: int, p: Params) -> int:

@@ -4,6 +4,13 @@ C(x) = {M : x in A(M)}. With nondecreasing endpoint sequences this set is
 an interval [L(x), U(x)], recovered by one merged sweep over M (no per-x
 searches). ``coverage`` at one M bisects for the x whose interval holds M;
 all-M coverage is one sweep, ``acceptance_of(tbl).masses()`` over C(N, n).
+
+``cstar_table`` composes the stages on endpoint lists and checks each
+invariant of the family it inverts once: the support when its one
+``AcceptanceFamily`` is built, the level by one carried mass sweep over
+M = 0..N/2 (a family below level there is a program fault and raises
+AssertionError), monotone endpoints in ``invert``, and reflection
+symmetry in ``ConfidenceTable``.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .acceptance import AcceptanceFamily, amo_half
-from .core import Params, interval_prob
-from .monotonize import adjust, symmetrize
+from .acceptance import AcceptanceFamily, _greedy_sweep, _mirror, interval_masses
+from .core import Params, attains_level, interval_prob
+from .monotonize import _shift, center_interval
 
 
 class Method(enum.Enum):
@@ -105,9 +112,17 @@ def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
 
 
 def cstar_table(p: Params) -> ConfidenceTable:
-    """Full pipeline: greedy intervals, shift, symmetrize, invert."""
-    adjusted, _ = adjust(amo_half(p))
-    return invert(symmetrize(adjusted, p), Method.CSTAR)
+    """``invert(symmetrize(adjust(amo_half(p))[0], p))``, run on endpoint lists."""
+    lower, upper, _ = _shift(*_greedy_sweep(p))
+    k = p.N // 2
+    if p.N % 2 == 0:
+        lower[k], upper[k] = center_interval(p, (lower[k], upper[k]))
+    lower, upper = _mirror(p, lower, upper)
+    fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
+    for M, mass in enumerate(interval_masses(p, fam.lower[: k + 1], fam.upper[: k + 1])):
+        if not attains_level(mass, p):
+            raise AssertionError(f"C* family below level at M={M}: {fam.interval(M)}")
+    return invert(fam, Method.CSTAR)
 
 
 def acceptance_of(tbl: ConfidenceTable) -> AcceptanceFamily:

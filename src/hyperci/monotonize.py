@@ -9,6 +9,10 @@ both interval length and the coverage level.
 Symmetrizing keeps the shifted intervals below N/2, mirrors them above,
 and, for even N, replaces the middle entry by the shortest interval
 [h, n-h] symmetric about n/2 that still holds 1 - alpha mass.
+
+``adjust`` and ``symmetrize`` wrap the list helpers that ``cstar_table``
+runs (``invert`` says where that path checks each invariant); ``adjust``
+keeps its level and monotonicity checks for families from outside.
 """
 
 from __future__ import annotations
@@ -39,21 +43,46 @@ class AdjustmentTrace:
         return max(self.delta) if self.delta else 0
 
 
-def _check_level(fam: AcceptanceFamily) -> None:
-    """Raise ValueError naming the first M whose interval is below level.
+def _shift(lower, upper) -> tuple:
+    """Monotonizing shift of half endpoint lists: (new lower, new upper, trace)."""
+    k = len(lower) - 1
+    run_max = []
+    cur = lower[0]
+    for M in range(k + 1):
+        cur = max(cur, lower[M])
+        run_max.append(cur)
+    run_min = [0] * (k + 1)
+    cur = upper[k]
+    for M in range(k, -1, -1):
+        cur = min(cur, upper[M])
+        run_min[M] = cur
 
-    A below-level mass from ``fam.masses()`` is re-summed by
-    interval_weight before the input is blamed.
-    """
-    p = fam.params
-    for M, mass in enumerate(fam.masses()):
-        if not attains_level(mass, p):
-            if mass != interval_weight(M, *fam.interval(M), p):
-                raise AssertionError(DRIFTED)
-            raise ValueError(
-                f"input family is not level alpha at M={M}: "
-                f"interval {fam.interval(M)} has mass {mass}/{p.total_weight}"
-            )
+    set_lower = frozenset(M for M in range(k + 1) if lower[M] < run_max[M])
+    set_upper = frozenset(M for M in range(k + 1) if upper[M] > run_min[M])
+    overlap = set_lower & set_upper
+    if overlap:
+        raise ValueError(
+            f"shift sets overlap at M={sorted(overlap)}; input intervals were "
+            "not minimum-cardinality probability maximizers"
+        )
+
+    new_a, new_b, delta = list(lower), list(upper), [0] * (k + 1)
+    for M in set_lower:
+        delta[M] = run_max[M] - lower[M]
+        new_a[M] = run_max[M]
+        new_b[M] = upper[M] + delta[M]
+    for M in set_upper:
+        delta[M] = upper[M] - run_min[M]
+        new_a[M] = lower[M] - delta[M]
+        new_b[M] = run_min[M]
+    trace = AdjustmentTrace(
+        running_max_lower=tuple(run_max),
+        running_min_upper=tuple(run_min),
+        set_lower=set_lower,
+        set_upper=set_upper,
+        delta=tuple(delta),
+    )
+    return new_a, new_b, trace
 
 
 def adjust(half: AcceptanceFamily) -> tuple:
@@ -64,56 +93,22 @@ def adjust(half: AcceptanceFamily) -> tuple:
     lengths, stay level alpha, and both endpoint sequences are nondecreasing.
     """
     p = half.params
-    _check_level(half)
-
-    k = len(half) - 1
-    a, b = half.lower, half.upper
-    run_max = []
-    cur = a[0]
-    for M in range(k + 1):
-        cur = max(cur, a[M])
-        run_max.append(cur)
-    run_min = [0] * (k + 1)
-    cur = b[k]
-    for M in range(k, -1, -1):
-        cur = min(cur, b[M])
-        run_min[M] = cur
-
-    set_lower = frozenset(M for M in range(k + 1) if a[M] < run_max[M])
-    set_upper = frozenset(M for M in range(k + 1) if b[M] > run_min[M])
-    overlap = set_lower & set_upper
-    if overlap:
-        raise ValueError(
-            f"shift sets overlap at M={sorted(overlap)}; input intervals were "
-            "not minimum-cardinality probability maximizers"
-        )
-
-    new_a, new_b, delta = list(a), list(b), [0] * (k + 1)
-    for M in set_lower:
-        delta[M] = run_max[M] - a[M]
-        new_a[M] = run_max[M]
-        new_b[M] = b[M] + delta[M]
-    for M in set_upper:
-        delta[M] = b[M] - run_min[M]
-        new_a[M] = a[M] - delta[M]
-        new_b[M] = run_min[M]
-
-    for M in range(k):
+    for M, mass in enumerate(half.masses()):
+        if not attains_level(mass, p):
+            if mass != interval_weight(M, *half.interval(M), p):
+                raise AssertionError(DRIFTED)
+            raise ValueError(
+                f"input family is not level alpha at M={M}: "
+                f"interval {half.interval(M)} has mass {mass}/{p.total_weight}"
+            )
+    new_a, new_b, trace = _shift(half.lower, half.upper)
+    for M in range(len(half) - 1):
         if new_a[M] > new_a[M + 1] or new_b[M] > new_b[M + 1]:
             raise ValueError(
                 f"adjusted endpoints not monotone at M={M}; input intervals "
                 "were not minimum-cardinality probability maximizers"
             )
-
-    adjusted = AcceptanceFamily(p, tuple(new_a), tuple(new_b))
-    trace = AdjustmentTrace(
-        running_max_lower=tuple(run_max),
-        running_min_upper=tuple(run_min),
-        set_lower=set_lower,
-        set_upper=set_upper,
-        delta=tuple(delta),
-    )
-    return adjusted, trace
+    return AcceptanceFamily(p, tuple(new_a), tuple(new_b)), trace
 
 
 def center_interval(p: Params, raw_center: tuple) -> tuple:
@@ -145,7 +140,7 @@ def symmetrize(adjusted_half: AcceptanceFamily, p: Params) -> AcceptanceFamily:
     """Full symmetric family: keep below N/2, reflect above, center at N/2."""
     if adjusted_half.params != p:
         raise ValueError("family params do not match")
-    lower, upper = _mirror(adjusted_half)
+    lower, upper = _mirror(p, adjusted_half.lower, adjusted_half.upper)
     if p.N % 2 == 0:
         k = p.N // 2
         lower[k], upper[k] = center_interval(p, adjusted_half.interval(k))

@@ -9,9 +9,9 @@ from-scratch greedy ``greedy_interval`` is the uncapped reference for the
 carried greedy sweep.
 
 Window masses come from per-M prefix rows (``prefix_row``, ``window_mass``)
-built from the full weight table, independently of the production
-kernels ``interval_weight`` and ``lower_quantile``, so verification checks
-those kernels rather than reusing them.
+built from the full weight table (``weight_table``), independently of the
+production kernels ``interval_weight`` and ``lower_quantile``, so
+verification checks those kernels rather than reusing them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Params, attains_level, mode, step_down, step_up, support, weight, weight_table
+from .core import Params, attains_level, mode, step_down, step_up, support, weight
 from .invert import ConfidenceTable
 
 N_CAP = 200
@@ -36,6 +36,18 @@ def _require_fraction(alpha) -> Fraction:
 def _check_cap(p: Params) -> None:
     if p.N > N_CAP:
         raise ValueError(f"oracle capped at N <= {N_CAP}, got N={p.N}")
+
+
+def weight_table(M: int, p: Params) -> list:
+    """Weights over the support, built by the adjacent-ratio recurrence."""
+    lo, hi = support(M, p)
+    N, n = p.N, p.n
+    w = weight(M, lo, p)
+    out = [w]
+    for x in range(lo, hi):
+        w = w * (M - x) * (n - x) // ((x + 1) * (N - M - n + x + 1))
+        out.append(w)
+    return out
 
 
 def prefix_row(M: int, p: Params) -> tuple:
@@ -259,19 +271,24 @@ def unimodal_peak(a: int, b: int, p: Params) -> int:
     raise AssertionError("boundary comparison never flipped; corrupt kernels")
 
 
-def pivot_scan(x: int, p: Params) -> tuple:
-    """Equal-tail pivot interval [L, U] for one x, by linear scans over M.
+def pivot_scan(p: Params) -> list:
+    """Equal-tail pivot intervals [L, U] for x = 0..n, by linear scans over M.
 
-    L is the first M whose upper tail P_M(X >= x) exceeds alpha/2 and U the
-    last whose lower tail P_M(X <= x) does. The tails are prefix-row window
-    masses, so this checks both ``pivot_ci``'s searches and its tail kernels.
+    L(x) is the first M whose upper tail P_M(X >= x) exceeds alpha/2 and
+    U(x) the last whose lower tail P_M(X <= x) does. The tails are window
+    masses of one prefix row per M, built once for every x, so this checks
+    both ``pivot_ci``'s searches and its tail kernels.
     """
     _check_cap(p)
     num, den = (p.alpha / 2).as_integer_ratio()
     bar = num * p.total_weight  # a tail weight must exceed bar / den
-    lower = next(M for M in range(p.N + 1) if window_mass(prefix_row(M, p), x, p.n) * den > bar)
-    upper = next(M for M in range(p.N, -1, -1) if window_mass(prefix_row(M, p), 0, x) * den > bar)
-    return (lower, upper)
+    rows = [prefix_row(M, p) for M in range(p.N + 1)]
+    out = []
+    for x in range(p.n + 1):
+        lower = next(M for M in range(p.N + 1) if window_mass(rows[M], x, p.n) * den > bar)
+        upper = next(M for M in range(p.N, -1, -1) if window_mass(rows[M], 0, x) * den > bar)
+        out.append((lower, upper))
+    return out
 
 
 def exact_coverage(tbl: ConfidenceTable, M: int) -> Fraction:

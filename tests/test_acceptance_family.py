@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from hyperci import Params, acceptance_of, adjust, amo_half, cstar_table, reflect_full, symmetrize
 from hyperci.acceptance import AcceptanceFamily
-from hyperci.core import attains_level, interval_weight, support, weight, weight_table
+from hyperci.core import attains_level, interval_weight, support, weight
 from hyperci.oracle import (
     exact_interval_prob,
     greedy_interval,
     min_level_interval,
     prefix_row,
+    weight_table,
     window_mass,
 )
 

@@ -92,7 +92,9 @@ class TestFamilyLevel:
         broken = AcceptanceFamily(p, lower, upper)
         monkeypatch.setattr(certify, "symmetrize", lambda adjusted, p: broken)
         monkeypatch.setattr(certify, "invert", lambda fam: tbl)
-        t = certify.check_instance({"pivot_cap": 0, "subset_cap": 0}, (p.N, p.n, p.alpha))
+        monkeypatch.setattr(certify, "PIVOT_CAP", 0)
+        monkeypatch.setattr(certify, "SUBSET_CAP", 0)
+        t = certify.check_instance({"alphas": (p.alpha,)}, (p.N, p.n, p.alpha))
         assert t["family-level"].failures
         assert not t["shift-level-preserved"].failures
 

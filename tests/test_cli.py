@@ -188,13 +188,23 @@ class TestUsageErrors:
 
 
 class TestWorkers:
+    # only the two subcommands that map over a pool read HYPERCI_WORKERS
     @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
     def test_bad_value_exits_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("HYPERCI_WORKERS", value)
-        code, out, err = run(capsys, "ci", "--N", "20", "--n", "6", "--x", "3", "--alpha", "0.6")
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and "HYPERCI_WORKERS" in err
+        for argv in (["certify", "--max-N", "3"],
+                     ["compare", "--N", "20", "--alpha", "0.6", "--n-list", "4,6"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert len(err.splitlines()) == 1 and "HYPERCI_WORKERS" in err
+
+    @pytest.mark.parametrize("cmd", ["ci", "table", "coverage"])
+    def test_single_table_commands_ignore_it(self, capsys, monkeypatch, cmd):
+        monkeypatch.setenv("HYPERCI_WORKERS", "abc")
+        extra = ["--x", "3"] if cmd == "ci" else []
+        code, out, err = run(capsys, cmd, "--N", "20", "--n", "6", "--alpha", "0.6", *extra)
+        assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize("value,want", [(None, 0), ("", 0), ("1", 1), ("3", 3), ("64", 4)])
     def test_count_capped_at_cpus(self, monkeypatch, value, want):

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,35 @@ class TestInvert:
         assert cstar500.method is Method.CSTAR
         again = cstar_table(Params(500, 100, 0.05))
         assert again == cstar500
+
+
+class TestCstarComposition:
+    # cstar_table runs the stages on endpoint lists; its tables must equal the
+    # public stages composed, over the certify grid and the benchmark ladder
+    def test_equals_public_stages_composed(self):
+        alphas = [Fraction(k, d) for k, d in [(1, 100), (1, 20), (1, 10), (1, 5), (3, 5)]]
+        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in alphas + [0.05]]
+        cases += [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
+                  (5000, 1000, 0.05), (100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05)]
+        for N, n, alpha in cases:
+            p = Params(N, n, alpha)
+            assert cstar_table(p) == invert(symmetrize(adjust(amo_half(p))[0], p)), (N, n, alpha)
+
+    # a centre one point narrower on each side is below level; the level
+    # sweep over the inverted family must catch it as a program fault
+    def test_below_level_centre_is_an_internal_fault(self, monkeypatch, capsys):
+        from hyperci.cli import main
+
+        inv = importlib.import_module("hyperci.invert")  # the package's `invert` is the function
+        center = inv.center_interval
+        monkeypatch.setattr(inv, "center_interval",
+                            lambda p, raw: (center(p, raw)[0] + 1, center(p, raw)[1] - 1))
+        with pytest.raises(AssertionError, match="below level at M=20"):
+            cstar_table(Params(40, 13, 0.2))
+        code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 class TestDuality:

@@ -138,6 +138,5 @@ def test_binary_search_matches_linear_scan(data):
     N = data.draw(st.integers(1, 40))
     n = data.draw(st.integers(1, N))
     alpha = data.draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.6]))
-    x = data.draw(st.integers(0, n))
     p = Params(N, n, alpha)
-    assert pivot_ci(x, p) == pivot_scan(x, p)
+    assert [pivot_ci(x, p) for x in range(n + 1)] == pivot_scan(p)
