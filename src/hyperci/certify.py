@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import oracle
 from .acceptance import amo_half, reflect_full
 from .core import Params, mode, support
-from .invert import acceptance_of, invert
+from .invert import acceptance_of, coverage, cstar_table, invert
 from .monotonize import adjust, center_interval, symmetrize
 from .parallel import pmap
 from .pivot import pivot_ci, pivot_table
@@ -125,7 +125,7 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     half = amo_half(p)
     adjusted, trace = adjust(half)
     sym = symmetrize(adjusted, p)
-    tbl = invert(sym)
+    tbl = cstar_table(p)
     ptbl = pivot_table(p)
 
     # greedy output must have minimum cardinality and, within that
@@ -213,12 +213,13 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     )
     t.hit("inversion-duality", 1, None if ok else f"{tag} inversion inconsistent")
 
-    # exact coverage for both methods at every M
+    # exact coverage for both methods at every M; ``coverage`` is its double
+    level = 1 - alpha
     bad = [
         M
         for M in range(N + 1)
         for tb in (tbl, ptbl)
-        if oracle.exact_coverage(tb, M) < 1 - alpha
+        if (exact := oracle.exact_coverage(tb, M)) < level or coverage(tb, M) != float(exact)
     ]
     t.hit("coverage-exactness", 1, None if not bad else f"{tag} M={bad[:3]}")
 

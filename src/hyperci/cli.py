@@ -9,10 +9,10 @@ deterministic, the timing footer is not and can be suppressed with
 --no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error
 (bad input, or an --out path that cannot be written), 3 internal error (a
 failed kernel self-check).
-coverage is one carried sweep over M. compare and certify map over
-independent items (n values, grid instances); their worker count comes
-from HYPERCI_WORKERS (a nonnegative integer, capped at the CPU count),
-which only those two subcommands read.
+coverage mirrors M <= N/2 (a C* table's stored values, or one sweep of a
+pivot dual). compare and certify map over independent items (n values,
+grid instances); their worker count comes from HYPERCI_WORKERS (a
+nonnegative integer, capped at the CPU count), which only those two read.
 Alpha is a decimal (a float) or a fraction such as 3/5 (an exact
 rational); certify's --alphas are always exact rationals.
 """
@@ -26,6 +26,7 @@ import time
 from fractions import Fraction
 from functools import partial
 
+from .acceptance import interval_masses
 from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
 from .invert import ConfidenceTable, acceptance_of, cstar_table, table_to_csv
@@ -116,8 +117,12 @@ def cmd_coverage(args) -> int:
         [f"# hyperci coverage N={p.N} n={p.n} alpha={p.alpha} method={args.method}"],
         ["M", "coverage"],
     ]
-    for M, mass in enumerate(acceptance_of(tbl).masses()):
-        lines.append([str(M), f"{mass / p.total_weight:.12f}"])
+    half = tbl._coverage  # M = 0..N/2; coverage(N - M) = coverage(M)
+    if half is None:
+        dual, k = acceptance_of(tbl), p.N // 2 + 1
+        half = [m / p.total_weight for m in interval_masses(p, dual.lower[:k], dual.upper[:k])]
+    for M in range(p.N + 1):
+        lines.append([str(M), f"{half[min(M, p.N - M)]:.12f}"])
     _emit(args, lines)
     return 0
 

@@ -23,7 +23,7 @@ to ``C(N,n)`` over the support for every M:
   support's lower end max(0, M+1+n-N) is reseeded from ``weight``.
   ``carry_window`` is the one window move; its two callers are the greedy
   sweep (``acceptance._greedy_sweep``) and ``acceptance.interval_masses``,
-  which serves the level checks and all-M coverage;
+  which serves the level checks and all-M coverage (stored on C* tables);
 * ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
 """
 

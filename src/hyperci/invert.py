@@ -1,23 +1,24 @@
 """Invert a monotone acceptance family into a confidence table.
 
-C(x) = {M : x in A(M)}. With nondecreasing endpoint sequences this set is
-an interval [L(x), U(x)], recovered by one merged sweep over M (no per-x
-searches). ``coverage`` at one M bisects for the x whose interval holds M;
-all-M coverage is one sweep, ``acceptance_of(tbl).masses()`` over C(N, n).
+C(x) = {M : x in A(M)}; with nondecreasing endpoints it is an interval
+[L(x), U(x)], recovered by one merged sweep over M (no per-x searches).
 
 ``cstar_table`` composes the stages on endpoint lists and checks each
 invariant of the family it inverts once: the support when its one
 ``AcceptanceFamily`` is built, the level by one carried mass sweep over
-M = 0..N/2 (a family below level there is a program fault and raises
-AssertionError), monotone endpoints in ``invert``, and reflection
-symmetry in ``ConfidenceTable``.
+M = 0..N/2, monotone endpoints in ``invert``, and reflection symmetry in
+``ConfidenceTable``; its input is a valid ``Params``, so a failed check
+there is a program fault (AssertionError). The level sweep's masses over
+C(N, n) are the coverage at M = 0..N/2 (``invert(fam)`` has dual ``fam``;
+coverage(N - M) = coverage(M)), so the table keeps them for ``coverage``;
+other tables are summed per M.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .acceptance import AcceptanceFamily, _greedy_sweep, _mirror, interval_masses
@@ -38,6 +39,7 @@ class ConfidenceTable:
     method: Method
     lower: tuple
     upper: tuple
+    _coverage: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         N, n = self.params.N, self.params.n
@@ -65,6 +67,11 @@ class ConfidenceTable:
 
 def invert(fam: AcceptanceFamily, method: Method = Method.CSTAR) -> ConfidenceTable:
     """Confidence table from a full family with nondecreasing endpoints."""
+    return ConfidenceTable(fam.params, method, *_inverse(fam))
+
+
+def _inverse(fam: AcceptanceFamily) -> tuple:
+    """Endpoint tuples (L, U) of ``invert(fam)``, with its checks."""
     p = fam.params
     N, n = p.N, p.n
     if len(fam) != N + 1:
@@ -89,13 +96,15 @@ def invert(fam: AcceptanceFamily, method: Method = Method.CSTAR) -> ConfidenceTa
             raise ValueError(f"no acceptance interval contains x={x}")
         lower[x] = m_low
         upper[x] = m_high
-    return ConfidenceTable(p, method, tuple(lower), tuple(upper))
+    return tuple(lower), tuple(upper)
 
 
 def coverage(tbl: ConfidenceTable, M: int) -> float:
     """P_M(M in C(X)): the chance the reported interval captures M."""
     p = tbl.params
     p.check_m(M)
+    if tbl._coverage is not None:  # a C* table, which stores M = 0..N/2
+        return tbl._coverage[min(M, p.N - M)]
     # qualifying x form an interval because L and U are nondecreasing
     x_lo = bisect_left(tbl.upper, M)
     x_hi = bisect_right(tbl.lower, M) - 1
@@ -113,16 +122,21 @@ def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
 
 def cstar_table(p: Params) -> ConfidenceTable:
     """``invert(symmetrize(adjust(amo_half(p))[0], p))``, run on endpoint lists."""
-    lower, upper, _ = _shift(*_greedy_sweep(p))
-    k = p.N // 2
-    if p.N % 2 == 0:
-        lower[k], upper[k] = center_interval(p, (lower[k], upper[k]))
-    lower, upper = _mirror(p, lower, upper)
-    fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
-    for M, mass in enumerate(interval_masses(p, fam.lower[: k + 1], fam.upper[: k + 1])):
-        if not attains_level(mass, p):
-            raise AssertionError(f"C* family below level at M={M}: {fam.interval(M)}")
-    return invert(fam, Method.CSTAR)
+    try:
+        lower, upper, _ = _shift(*_greedy_sweep(p))
+        k = p.N // 2
+        if p.N % 2 == 0:
+            lower[k], upper[k] = center_interval(p, (lower[k], upper[k]))
+        lower, upper = _mirror(p, lower, upper)
+        fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
+        cov = []
+        for M, mass in enumerate(interval_masses(p, fam.lower[: k + 1], fam.upper[: k + 1])):
+            if not attains_level(mass, p):
+                raise AssertionError(f"C* family below level at M={M}: {fam.interval(M)}")
+            cov.append(mass / p._total_weight)
+        return ConfidenceTable(p, Method.CSTAR, *_inverse(fam), tuple(cov))
+    except ValueError as e:  # p is valid, so a failed self-check is a program fault
+        raise AssertionError(f"C* pipeline self-check failed: {e}") from e
 
 
 def acceptance_of(tbl: ConfidenceTable) -> AcceptanceFamily:

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from hyperci import Params, cstar_table
+from hyperci import Params, coverage, cstar_table, pivot_table
 from hyperci import cli
 from hyperci.cli import main
-from hyperci.invert import table_from_csv
+from hyperci.invert import table_from_csv, table_to_csv
 
 
 def run(capsys, *argv):
@@ -246,17 +246,33 @@ class TestCoverage:
         for M in (1, 2, 3, 57, 58, 59):
             assert cov_p[M] >= cov_c[M]
 
-    # the sweep's end check must catch a doubled step_m and a 0.1% drift;
-    # the table is built before the kernel is corrupted
+    # C* prints its stored half, pivot one sweep of its dual's half, each
+    # mirrored; both must print what per-M coverage of the bare table gives
+    @pytest.mark.parametrize("method", ["cstar", "pivot"])
+    @pytest.mark.parametrize("N", [60, 61])
+    def test_stdout_matches_per_m_reference(self, capsys, method, N):
+        code, out, _ = run(capsys, "coverage", "--N", str(N), "--n", "20", "--alpha", "0.05",
+                           "--method", method)
+        p = Params(N, 20, 0.05)
+        tbl = cstar_table(p) if method == "cstar" else pivot_table(p)
+        bare = table_from_csv(table_to_csv(tbl))
+        want = [f"# hyperci coverage N={N} n=20 alpha=0.05 method={method}", "M,coverage"]
+        want += [f"{M},{coverage(bare, M):.12f}" for M in range(N + 1)]
+        assert code == 0 and out == "\n".join(want) + "\n"
+
+    # a pivot table's coverage is one carried sweep of its dual, whose end
+    # check must catch a doubled step_m and a 0.1% drift; the table is built
+    # before the kernel is corrupted (a C* table's sweep runs in its build)
     @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
     def test_corrupt_step_m_exits_3(self, capsys, monkeypatch, num, den):
         import hyperci.core as core
 
-        tbl = cstar_table(Params(40, 13, 0.2))
-        monkeypatch.setattr("hyperci.cli.cstar_table", lambda p: tbl)
+        tbl = pivot_table(Params(40, 13, 0.2))
+        monkeypatch.setattr("hyperci.cli.pivot_table", lambda p: tbl)
         step = core.step_m
         monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
-        code, out, err = run(capsys, "coverage", "--N", "40", "--n", "13", "--alpha", "0.2")
+        code, out, err = run(capsys, "coverage", "--N", "40", "--n", "13", "--alpha", "0.2",
+                             "--method", "pivot")
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import importlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hyperci import (
     total_size_diff,
 )
 from hyperci.acceptance import AcceptanceFamily
+from hyperci.monotonize import center_interval
 
 
 def pipeline(N, n, alpha):
@@ -101,6 +103,52 @@ class TestCstarComposition:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    # the public stages raise ValueError for families from outside; inside
+    # cstar_table the same checks can only fail on lists the program built
+    # from a valid Params, so they are program faults and exit 3
+    def test_widened_interval_is_an_internal_fault(self, monkeypatch, capsys):
+        from hyperci.cli import main
+
+        inv = importlib.import_module("hyperci.invert")
+        shift = inv._shift
+
+        def widened(lower, upper):  # b_5 one higher keeps the level, breaks order
+            a, b, trace = shift(lower, upper)
+            b[5] += 1
+            return a, b, trace
+
+        monkeypatch.setattr(inv, "_shift", widened)
+        with pytest.raises(AssertionError, match="not nondecreasing at M=5"):
+            cstar_table(Params(40, 13, 0.2))
+        code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def test_failed_centre_cross_check_is_an_internal_fault(self, monkeypatch, capsys):
+        from hyperci.cli import main
+
+        mono = importlib.import_module("hyperci.monotonize")
+        quantile = mono.lower_quantile
+        monkeypatch.setattr(mono, "lower_quantile", lambda M, t, p: quantile(M, t, p) - 1)
+        with pytest.raises(AssertionError, match="center cross-check failed"):
+            cstar_table(Params(40, 13, 0.2))
+        code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        # the public stage keeps ValueError for a centre from outside
+        with pytest.raises(ValueError, match="center cross-check failed"):
+            center_interval(Params(40, 13, 0.2), (5, 8))
+
+    def test_bad_input_still_exits_2(self, capsys):
+        from hyperci.cli import main
+
+        code = main(["table", "--N", "40", "--n", "41", "--alpha", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDuality:
@@ -265,3 +313,57 @@ class TestCsvRoundTrip:
         text = table_to_csv(cstar_table(Params(20, 6, 0.6))).replace("3,7,13", bad_row)
         with pytest.raises(ValueError, match="line 6"):
             table_from_csv(text)
+
+
+class TestStoredCoverage:
+    # a C* table carries the coverage its level sweep summed; the same table
+    # parsed back from its CSV carries none, so it sums each M from scratch
+    ALPHAS = [Fraction(k, d) for k, d in [(1, 100), (1, 20), (1, 10), (1, 5), (3, 5)]] + [0.05]
+    LADDER = [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
+              (5000, 1000, 0.05)]
+    WIDE = [(100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05)]
+
+    def test_equals_from_scratch_coverage(self):
+        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in self.ALPHAS]
+        for N, n, alpha in cases + self.LADDER:
+            tbl = cstar_table(Params(N, n, alpha))
+            bare = table_from_csv(table_to_csv(tbl))
+            assert bare._coverage is None
+            want = [coverage(bare, M) for M in range(N + 1)]
+            assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
+
+    # on N in the 1e5 range the from-scratch path is slow; the dual's carried
+    # masses over C(N, n) round the same integers
+    def test_equals_dual_masses_on_wide_instances(self):
+        for N, n, alpha in self.WIDE:
+            p = Params(N, n, alpha)
+            tbl = cstar_table(p)
+            want = [m / p.total_weight for m in acceptance_of(tbl).masses()]
+            assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
+
+    def test_not_compared_hashed_or_printed(self):
+        tbl = cstar_table(Params(61, 20, 0.05))
+        bare = table_from_csv(table_to_csv(tbl))
+        assert tbl == bare and hash(tbl) == hash(bare)
+        assert repr(tbl) == repr(bare)
+        assert len(tbl._coverage) == 31
+
+    def test_pickle_keeps_it(self):
+        tbl = cstar_table(Params(60, 20, 0.05))
+        again = pickle.loads(pickle.dumps(tbl))
+        assert again == tbl and again._coverage == tbl._coverage
+
+    def test_out_of_range_still_raises(self, cstar500):
+        for M in (-1, 501):
+            with pytest.raises(ValueError, match="M must be in"):
+                coverage(cstar500, M)
+
+    # a corrupt kernel fails the build's carried sweeps, so no table with
+    # wrong stored coverage is ever returned
+    def test_doubled_step_m_fails_before_a_table_exists(self, monkeypatch):
+        import hyperci.core as core
+
+        step = core.step_m
+        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * 2)
+        with pytest.raises(AssertionError, match="drifted"):
+            cstar_table(Params(40, 13, 0.2))
