@@ -17,7 +17,6 @@ from .acceptance import amo_half, reflect_full
 from .core import Params, mode, support
 from .invert import acceptance_of, coverage, cstar_table, invert
 from .monotonize import adjust, center_interval, symmetrize
-from .parallel import pmap
 from .pivot import pivot_ci, pivot_table
 
 DEFAULT_ALPHAS = (
@@ -39,7 +38,7 @@ PIVOT_CAP = 20     # the oracle's linear pivot scan
 
 @dataclass
 class Tally:
-    """Outcome of one named check, merged across instances."""
+    """Outcome of one named check, summed over instances."""
 
     name: str
     instances: int = 0
@@ -61,9 +60,10 @@ class Tallies(dict):
         self.setdefault(name, Tally(name)).add(count, failure)
 
     def metric_max(self, name: str, key: str, value, tag):
+        """Keep the largest (value, tag): a tie on value goes to the larger tag."""
         t = self.setdefault(name, Tally(name))
         cur = t.metrics.get(key)
-        if cur is None or value > cur[0]:
+        if cur is None or (value, tag) > cur:
             t.metrics[key] = (value, tag)
 
     def metric_count(self, name: str, key: str, inc: int = 1):
@@ -105,10 +105,8 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def check_instance(cfg: dict, item: tuple) -> Tallies:
-    """All pipeline checks for one (N, n, alpha) instance."""
-    N, n, alpha = item
-    t = Tallies()
+def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
+    """Add all pipeline checks for one (N, n, alpha) instance to ``t``."""
     tag = f"(N={N}, n={n}, alpha={alpha})"
     p = Params(N, n, alpha)
     bar = (1 - alpha) * p.total_weight
@@ -270,13 +268,10 @@ def check_instance(cfg: dict, item: tuple) -> Tallies:
     if N % 2 == 0 and n <= SUBSET_CAP:
         ok = oracle.min_symmetric_set_size_bruteforce(p, alpha) == oracle.min_symmetric_set_size(p, alpha)
         t.hit("symmetric-set-bruteforce", 1, None if ok else f"{tag} greedy != subset search")
-    return t
 
 
-def check_distribution(cfg: dict, item: tuple) -> Tallies:
-    """Alpha-free distribution properties for one (N, n) pair, exhaustively."""
-    N, n = item
-    t = Tallies()
+def check_distribution(t: Tallies, N: int, n: int, alphas: tuple) -> None:
+    """Add the distribution properties for one (N, n) pair, exhaustively, to ``t``."""
     tag = f"(N={N}, n={n})"
     p = Params(N, n, 0.5)  # alpha unused by these checks
     rows = [oracle.prefix_row(M, p) for M in range(N + 1)]
@@ -393,7 +388,7 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
         t.hit("peak-shift", 1, None if ok else f"{tag} shift property broken")
 
         # oracle-optimal intervals for increasing M couple their endpoints
-        for alpha in cfg["alphas"]:
+        for alpha in alphas:
             ints = [oracle.min_level_interval(M, p, alpha)[1] for M in range(N + 1)]
             ok = all(
                 not (ints[M2][0] < ints[M1][0] and ints[M2][1] < ints[M1][1])
@@ -428,35 +423,18 @@ def check_distribution(cfg: dict, item: tuple) -> Tallies:
                     total = sum(w[i] for i in range(size) if mask >> i & 1)
                     ok = ok and total <= best_window[bits - 1]
         t.hit("maximizing-sets-are-intervals", 1, None if ok else f"{tag} subset beats window")
-    return t
-
-
-def _merge(into: Tallies, part: Tallies):
-    for name, tally in part.items():
-        target = into.setdefault(name, Tally(name))
-        target.instances += tally.instances
-        for f in tally.failures:
-            if len(target.failures) < MAX_FAILURES_KEPT:
-                target.failures.append(f)
-        for key, val in tally.metrics.items():
-            if key.endswith("instances") or key.endswith("disagreements"):
-                target.metrics[key] = target.metrics.get(key, 0) + val
-            else:
-                cur = target.metrics.get(key)
-                if cur is None or val > cur:
-                    target.metrics[key] = val
 
 
 def run_certification(
     max_population: int = 40,
     alphas=DEFAULT_ALPHAS,
     populations=None,
-    workers: int = 0,
 ) -> CertificationReport:
     """Run every check over the grid; N values default to 1..max_population.
 
     A repeated N or alpha runs once: N values are sorted, alphas keep the
-    order of their first occurrence.
+    order of their first occurrence. Every instance is checked in this
+    process, in grid order, and adds its results to one set of tallies.
     """
     if max_population > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
@@ -467,20 +445,16 @@ def run_certification(
     if ns[-1] > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
     alphas = tuple(dict.fromkeys(Fraction(a) for a in alphas))  # first occurrence kept
-    cfg = {"alphas": alphas}
-    instances = [(N, n, a) for N in ns for n in range(1, N + 1) for a in alphas]
-    pairs = [
-        (N, n)
-        for N in ns
-        for n in range(1, N + 1)
-        if N <= max(PROPERTY_CAP, RATIO_CAP, SUBSET_CAP)
-    ]
-    merged = Tallies()
-    for part in pmap(check_instance, cfg, instances, workers):
-        _merge(merged, part)
-    for part in pmap(check_distribution, cfg, pairs, workers):
-        _merge(merged, part)
-    merged.setdefault("size-optimality", Tally("size-optimality")).metrics.setdefault(
+    tallies = Tallies()
+    for N in ns:
+        for n in range(1, N + 1):
+            for a in alphas:
+                check_instance(tallies, N, n, a)
+    for N in ns:
+        if N <= max(PROPERTY_CAP, RATIO_CAP, SUBSET_CAP):
+            for n in range(1, N + 1):
+                check_distribution(tallies, N, n, alphas)
+    tallies.setdefault("size-optimality", Tally("size-optimality")).metrics.setdefault(
         "set_gap_instances", 0
     )
     grid = (
@@ -489,4 +463,4 @@ def run_certification(
         else f"N = 1..{max_population}"
     )
     grid += f", n = 1..N, alphas = {', '.join(str(a) for a in alphas)}"
-    return CertificationReport(checks=list(merged.values()), grid=grid)
+    return CertificationReport(checks=list(tallies.values()), grid=grid)

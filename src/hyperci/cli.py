@@ -10,9 +10,8 @@ deterministic, the timing footer is not and can be suppressed with
 (bad input, or an --out path that cannot be written), 3 internal error (a
 failed kernel self-check).
 coverage mirrors M <= N/2 (a C* table's stored values, or one sweep of a
-pivot dual). compare and certify map over independent items (n values,
-grid instances); their worker count comes from HYPERCI_WORKERS (a
-nonnegative integer, capped at the CPU count), which only those two read.
+pivot dual). Every subcommand runs in one process; compare and certify
+loop over their items (n values, grid instances) in order.
 Alpha is a decimal (a float) or a fraction such as 3/5 (an exact
 rational); certify's --alphas are always exact rationals.
 """
@@ -20,7 +19,6 @@ rational); certify's --alphas are always exact rationals.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -30,16 +28,7 @@ from .acceptance import interval_masses
 from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
 from .invert import ConfidenceTable, acceptance_of, cstar_table, table_to_csv
-from .parallel import pmap
 from .pivot import pivot_table
-
-
-def _workers() -> int:
-    """HYPERCI_WORKERS as a worker count, capped at the CPU count; 0 if unset."""
-    text = os.environ.get("HYPERCI_WORKERS", "").strip() or "0"
-    if not text.isdecimal():
-        raise ValueError(f"HYPERCI_WORKERS must be a nonnegative integer, got {text!r}")
-    return min(int(text), os.cpu_count() or 1)
 
 
 def _params(args) -> Params:
@@ -127,32 +116,23 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def _compare_one(base: tuple, n: int) -> tuple:
-    N, alpha = base
-    p = Params(N, n, alpha)
-    start = time.perf_counter()
-    size_cstar = cstar_table(p).total_size
-    t_cstar = (time.perf_counter() - start) * 1000
-    start = time.perf_counter()
-    size_pivot = pivot_table(p).total_size
-    t_pivot = (time.perf_counter() - start) * 1000
-    return (n, size_cstar, size_pivot, t_cstar, t_pivot)
-
-
 def cmd_compare(args) -> int:
-    ns = _parse_int_list(args.n_list)
-    for n in ns:
-        Params(args.N, n, args.alpha)  # validate early
+    # every n is validated before any table is built
+    params = [Params(args.N, n, args.alpha) for n in _parse_int_list(args.n_list)]
     lines = [
         [f"# hyperci compare N={args.N} alpha={args.alpha}"],
         ["n", "size_cstar", "size_pivot", "diff", "time_cstar_ms", "time_pivot_ms"],
     ]
-    rows = pmap(_compare_one, (args.N, args.alpha), ns, _workers())
-    for n, size_cstar, size_pivot, t_cstar, t_pivot in rows:
-        t1 = "0.000" if args.no_timing else f"{t_cstar:.3f}"
-        t2 = "0.000" if args.no_timing else f"{t_pivot:.3f}"
+    for p in params:
+        start = time.perf_counter()
+        size_cstar = cstar_table(p).total_size
+        mid = time.perf_counter()
+        size_pivot = pivot_table(p).total_size
+        end = time.perf_counter()
+        t1 = "0.000" if args.no_timing else f"{(mid - start) * 1000:.3f}"
+        t2 = "0.000" if args.no_timing else f"{(end - mid) * 1000:.3f}"
         lines.append(
-            [str(n), str(size_cstar), str(size_pivot), str(size_pivot - size_cstar), t1, t2]
+            [str(p.n), str(size_cstar), str(size_pivot), str(size_pivot - size_cstar), t1, t2]
         )
     _emit(args, lines)
     return 0
@@ -164,7 +144,6 @@ def cmd_certify(args) -> int:
         max_population=args.max_N,
         alphas=args.alphas,
         populations=populations,
-        workers=_workers(),
     )
     _write(args, report.render())
     return 0 if report.ok else 1

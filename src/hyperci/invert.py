@@ -39,7 +39,8 @@ class ConfidenceTable:
     method: Method
     lower: tuple
     upper: tuple
-    _coverage: tuple = field(default=None, compare=False, repr=False)
+    # set only by cstar_table, so replace() and hand-built tables carry none
+    _coverage: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         N, n = self.params.N, self.params.n
@@ -134,7 +135,9 @@ def cstar_table(p: Params) -> ConfidenceTable:
             if not attains_level(mass, p):
                 raise AssertionError(f"C* family below level at M={M}: {fam.interval(M)}")
             cov.append(mass / p._total_weight)
-        return ConfidenceTable(p, Method.CSTAR, *_inverse(fam), tuple(cov))
+        tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(fam))
+        object.__setattr__(tbl, "_coverage", tuple(cov))
+        return tbl
     except ValueError as e:  # p is valid, so a failed self-check is a program fault
         raise AssertionError(f"C* pipeline self-check failed: {e}") from e
 
@@ -210,10 +213,17 @@ def table_from_csv(text: str) -> ConfidenceTable:
     for key in ("N", "n", "alpha"):
         if key not in meta:
             raise ValueError(f"metadata header lacks {key}=")
-    alpha_text = meta["alpha"]
-    alpha = Fraction(alpha_text) if "/" in alpha_text else float(alpha_text)
-    p = Params(int(meta["N"]), int(meta["n"]), alpha)
-    method = Method(meta.get("method", "cstar"))
+    meta.setdefault("method", Method.CSTAR.value)
+
+    def value(key, parse):
+        try:
+            return parse(meta[key])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"metadata header has a bad value {key}={meta[key]}") from None
+
+    alpha = value("alpha", lambda v: Fraction(v) if "/" in v else float(v))
+    p = Params(value("N", int), value("n", int), alpha)
+    method = value("method", Method)
     rows.sort()
     if [x for x, _, _ in rows] != list(range(p.n + 1)):
         raise ValueError("table rows do not cover x = 0..n exactly once")

@@ -7,7 +7,6 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from hyperci import Params, cstar_table, pivot_table, run_certification
-from hyperci.cli import _workers
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +28,6 @@ def pivot500(p500):
 def certification():
     """Full exact-grid certification run, shared by the acceptance tests."""
     start = time.perf_counter()
-    report = run_certification(max_population=40, workers=_workers())
+    report = run_certification(max_population=40)
     elapsed = time.perf_counter() - start
     return report, elapsed

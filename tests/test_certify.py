@@ -70,13 +70,11 @@ class TestTargetedGrids:
         )
         assert repeated.grid.endswith("alphas = 3/5, 1/20")
 
-    def test_workers_match_serial(self):
-        serial = run_certification(max_population=6)
-        parallel = run_certification(max_population=6, workers=2)
-        assert {t.name: t.instances for t in serial.checks} == {
-            t.name: t.instances for t in parallel.checks
-        }
-        assert serial.ok and parallel.ok
+    # a tie on max_delta goes to the larger (value, tag) pair, not the first
+    # instance that reached it
+    def test_max_delta_tie_keeps_largest_tag(self):
+        report = run_certification(max_population=6)
+        assert report.metric("shift-metrics", "max_delta") == (0, "(N=6, n=6, alpha=3/5)")
 
 
 class TestFamilyLevel:
@@ -94,7 +92,8 @@ class TestFamilyLevel:
         monkeypatch.setattr(certify, "invert", lambda fam: tbl)
         monkeypatch.setattr(certify, "PIVOT_CAP", 0)
         monkeypatch.setattr(certify, "SUBSET_CAP", 0)
-        t = certify.check_instance({"alphas": (p.alpha,)}, (p.N, p.n, p.alpha))
+        t = certify.Tallies()
+        certify.check_instance(t, p.N, p.n, p.alpha)
         assert t["family-level"].failures
         assert not t["shift-level-preserved"].failures
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pickle
 from fractions import Fraction
@@ -308,6 +309,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"lacks {key}="):
             table_from_csv(text)
 
+    @pytest.mark.parametrize("key, bad", [("alpha", "1/0"), ("alpha", "abc"), ("N", "2x"),
+                                          ("n", "six"), ("method", "bogus")])
+    def test_header_bad_value_names_it(self, key, bad):
+        header = {"N": "20", "n": "6", "alpha": "0.6", "method": "cstar", key: bad}
+        fields = " ".join(f"{k}={v}" for k, v in header.items())
+        text = f"# hyperci table {fields}\nx,L,U\n0,0,2\n"
+        with pytest.raises(ValueError, match=f"bad value {key}="):
+            table_from_csv(text)
+
     @pytest.mark.parametrize("bad_row", ["3,7", "3,7,x", "3,7,13,0"])
     def test_malformed_row_names_its_line(self, bad_row):
         text = table_to_csv(cstar_table(Params(20, 6, 0.6))).replace("3,7,13", bad_row)
@@ -352,6 +362,16 @@ class TestStoredCoverage:
         tbl = cstar_table(Params(60, 20, 0.05))
         again = pickle.loads(pickle.dumps(tbl))
         assert again == tbl and again._coverage == tbl._coverage
+
+    # replace() builds a new table, so the source's coverage is not carried
+    def test_replace_carries_no_stale_coverage(self):
+        p = Params(60, 20, 0.05)
+        ptbl = pivot_table(p)
+        swapped = dataclasses.replace(
+            cstar_table(p), method=ptbl.method, lower=ptbl.lower, upper=ptbl.upper
+        )
+        assert swapped == ptbl and swapped._coverage is None
+        assert [coverage(swapped, M) for M in range(61)] == [coverage(ptbl, M) for M in range(61)]
 
     def test_out_of_range_still_raises(self, cstar500):
         for M in (-1, 501):
