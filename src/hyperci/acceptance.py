@@ -103,7 +103,7 @@ def interval_masses(p: Params, lower, upper) -> Iterator[int]:
 
 
 def _greedy_sweep(p: Params) -> tuple:
-    """Greedy endpoint lists (lower, upper) for M = 0..floor(N/2), each carried.
+    """Greedy lists (lower, upper, coverage) for M = 0..floor(N/2), each carried.
 
     M = 0 starts from its one-point support {0}. Each later M takes the
     previous window (a, b, w_a, w_b, mass) through ``carry_window``, then
@@ -113,15 +113,18 @@ def _greedy_sweep(p: Params) -> tuple:
     level, put a one-point window on mode(M), and grow by the greedy rule.
     A carried window only ever slides right, since the leftmost max-mass
     start of each length is nondecreasing in M; the left slide keeps the
-    correction exact from any window. After the last M the carried mass and
-    weights must match interval_weight and weight.
+    correction exact from any window. The grow loop stops only once the mass
+    attains the level, so coverage[M] = mass / C(N, n) is level-checked.
+    After the last M the carried mass and weights must match
+    interval_weight and weight.
     """
     N, n = p.N, p.n
     num, den = p._alpha_ratio
-    bar = (den - num) * p.total_weight  # the mass must reach bar / den
+    total = p.total_weight
+    bar = (den - num) * total  # the mass must reach bar / den
     a = b = 0
     w_a = w_b = mass = weight(0, 0, p)
-    lower, upper = [], []
+    lower, upper, cov = [], [], []
     for M in range(N // 2 + 1):
         if M:
             a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
@@ -177,14 +180,15 @@ def _greedy_sweep(p: Params) -> tuple:
                 raise AssertionError("full support below the level; corrupt kernels")
         lower.append(a)
         upper.append(b)
+        cov.append(mass / total)
     if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
         raise AssertionError(DRIFTED)
-    return lower, upper
+    return lower, upper, cov
 
 
 def amo_half(p: Params) -> AcceptanceFamily:
     """Greedy acceptance intervals for M = 0..floor(N/2), in one sweep."""
-    lower, upper = _greedy_sweep(p)
+    lower, upper, _ = _greedy_sweep(p)
     return AcceptanceFamily(p, tuple(lower), tuple(upper))
 
 

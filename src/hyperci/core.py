@@ -22,8 +22,9 @@ to ``C(N,n)`` over the support for every M:
   moves a window or tail mass; a carried point that falls below the new
   support's lower end max(0, M+1+n-N) is reseeded from ``weight``.
   ``carry_window`` is the one window move; its two callers are the greedy
-  sweep (``acceptance._greedy_sweep``) and ``acceptance.interval_masses``,
-  which serves the level checks and all-M coverage (stored on C* tables);
+  sweep (``acceptance._greedy_sweep``, whose masses are a C* table's stored
+  coverage) and ``acceptance.interval_masses``, which serves ``adjust``'s
+  level guard and the all-M coverage of other tables (``hyperci coverage``);
 * ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
 """
 

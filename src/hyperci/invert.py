@@ -5,13 +5,14 @@ C(x) = {M : x in A(M)}; with nondecreasing endpoints it is an interval
 
 ``cstar_table`` composes the stages on endpoint lists and checks each
 invariant of the family it inverts once: the support when its one
-``AcceptanceFamily`` is built, the level by one carried mass sweep over
-M = 0..N/2, monotone endpoints in ``invert``, and reflection symmetry in
-``ConfidenceTable``; its input is a valid ``Params``, so a failed check
-there is a program fault (AssertionError). The level sweep's masses over
-C(N, n) are the coverage at M = 0..N/2 (``invert(fam)`` has dual ``fam``;
-coverage(N - M) = coverage(M)), so the table keeps them for ``coverage``;
-other tables are summed per M.
+``AcceptanceFamily`` is built; the level at M = 0..N/2 by the greedy's exit
+test where an interval's endpoints are the greedy's, else by an exact sum
+(the few the shift or the even-N centre moved); monotone endpoints in
+``invert``; reflection symmetry in ``ConfidenceTable``. Its input is a valid
+``Params``, so a failed check there is a program fault (AssertionError).
+Those masses over C(N, n) are the coverage at M = 0..N/2 (``invert(fam)``
+has dual ``fam``; coverage(N - M) = coverage(M)), so the table keeps them
+for ``coverage``; other tables are summed per M.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .acceptance import AcceptanceFamily, _greedy_sweep, _mirror, interval_masses
-from .core import Params, attains_level, interval_prob
+from .acceptance import AcceptanceFamily, _greedy_sweep, _mirror
+from .core import Params, attains_level, interval_prob, interval_weight
 from .monotonize import _shift, center_interval
 
 
@@ -124,17 +125,23 @@ def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
 def cstar_table(p: Params) -> ConfidenceTable:
     """``invert(symmetrize(adjust(amo_half(p))[0], p))``, run on endpoint lists."""
     try:
-        lower, upper, _ = _shift(*_greedy_sweep(p))
+        greedy_lower, greedy_upper, cov = _greedy_sweep(p)
+        lower, upper = list(greedy_lower), list(greedy_upper)
+        _shift(lower, upper)
         k = p.N // 2
         if p.N % 2 == 0:
             lower[k], upper[k] = center_interval(p, (lower[k], upper[k]))
+        # cov holds the greedy's level-checked masses; an interval the shift
+        # or the centre changed is summed again
+        for M in range(k + 1):
+            if lower[M] != greedy_lower[M] or upper[M] != greedy_upper[M]:
+                mass = interval_weight(M, lower[M], upper[M], p)
+                if not attains_level(mass, p):
+                    raise AssertionError(f"C* family below level at M={M}: {lower[M], upper[M]}")
+                cov[M] = mass / p.total_weight
+        del greedy_lower, greedy_upper  # freed before the full-length lists: peak memory
         lower, upper = _mirror(p, lower, upper)
         fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
-        cov = []
-        for M, mass in enumerate(interval_masses(p, fam.lower[: k + 1], fam.upper[: k + 1])):
-            if not attains_level(mass, p):
-                raise AssertionError(f"C* family below level at M={M}: {fam.interval(M)}")
-            cov.append(mass / p._total_weight)
         tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(fam))
         object.__setattr__(tbl, "_coverage", tuple(cov))
         return tbl

@@ -11,13 +11,15 @@ and, for even N, replaces the middle entry by the shortest interval
 [h, n-h] symmetric about n/2 that still holds 1 - alpha mass.
 
 ``adjust`` and ``symmetrize`` wrap the list helpers that ``cstar_table``
-runs (``invert`` says where that path checks each invariant); ``adjust``
-keeps its level and monotonicity checks for families from outside.
+runs (``invert`` says where that path checks each invariant); ``_shift``
+works in place and returns only its shifts, and ``adjust`` builds the trace
+and keeps its level and monotonicity checks for families from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .acceptance import AcceptanceFamily, _mirror
 from .core import DRIFTED, Params, attains_level, interval_weight, lower_quantile
@@ -44,45 +46,33 @@ class AdjustmentTrace:
 
 
 def _shift(lower, upper) -> tuple:
-    """Monotonizing shift of half endpoint lists: (new lower, new upper, trace)."""
-    k = len(lower) - 1
-    run_max = []
-    cur = lower[0]
-    for M in range(k + 1):
-        cur = max(cur, lower[M])
-        run_max.append(cur)
-    run_min = [0] * (k + 1)
-    cur = upper[k]
-    for M in range(k, -1, -1):
-        cur = min(cur, upper[M])
-        run_min[M] = cur
-
-    set_lower = frozenset(M for M in range(k + 1) if lower[M] < run_max[M])
-    set_upper = frozenset(M for M in range(k + 1) if upper[M] > run_min[M])
-    overlap = set_lower & set_upper
+    """Monotonize half endpoint lists in place; returns ({M: raise}, {M: drop})."""
+    up, down = {}, {}
+    top = lower[0]
+    for M, a in enumerate(lower):
+        if a < top:
+            up[M] = top - a
+        else:
+            top = a
+    bottom = upper[-1]
+    for M in range(len(upper) - 1, -1, -1):
+        if upper[M] > bottom:
+            down[M] = upper[M] - bottom
+        else:
+            bottom = upper[M]
+    overlap = up.keys() & down.keys()
     if overlap:
         raise ValueError(
             f"shift sets overlap at M={sorted(overlap)}; input intervals were "
             "not minimum-cardinality probability maximizers"
         )
-
-    new_a, new_b, delta = list(lower), list(upper), [0] * (k + 1)
-    for M in set_lower:
-        delta[M] = run_max[M] - lower[M]
-        new_a[M] = run_max[M]
-        new_b[M] = upper[M] + delta[M]
-    for M in set_upper:
-        delta[M] = upper[M] - run_min[M]
-        new_a[M] = lower[M] - delta[M]
-        new_b[M] = run_min[M]
-    trace = AdjustmentTrace(
-        running_max_lower=tuple(run_max),
-        running_min_upper=tuple(run_min),
-        set_lower=set_lower,
-        set_upper=set_upper,
-        delta=tuple(delta),
-    )
-    return new_a, new_b, trace
+    for M, d in up.items():
+        lower[M] += d
+        upper[M] += d
+    for M, d in down.items():
+        lower[M] -= d
+        upper[M] -= d
+    return up, down
 
 
 def adjust(half: AcceptanceFamily) -> tuple:
@@ -101,13 +91,21 @@ def adjust(half: AcceptanceFamily) -> tuple:
                 f"input family is not level alpha at M={M}: "
                 f"interval {half.interval(M)} has mass {mass}/{p.total_weight}"
             )
-    new_a, new_b, trace = _shift(half.lower, half.upper)
+    new_a, new_b = list(half.lower), list(half.upper)
+    up, down = _shift(new_a, new_b)
     for M in range(len(half) - 1):
         if new_a[M] > new_a[M + 1] or new_b[M] > new_b[M + 1]:
             raise ValueError(
                 f"adjusted endpoints not monotone at M={M}; input intervals "
                 "were not minimum-cardinality probability maximizers"
             )
+    trace = AdjustmentTrace(
+        running_max_lower=tuple(accumulate(half.lower, max)),
+        running_min_upper=tuple(accumulate(half.upper[::-1], min))[::-1],
+        set_lower=frozenset(up),
+        set_upper=frozenset(down),
+        delta=tuple(up.get(M, down.get(M, 0)) for M in range(len(half))),
+    )
     return AcceptanceFamily(p, tuple(new_a), tuple(new_b)), trace
 
 

@@ -115,9 +115,9 @@ class TestCstarComposition:
         shift = inv._shift
 
         def widened(lower, upper):  # b_5 one higher keeps the level, breaks order
-            a, b, trace = shift(lower, upper)
-            b[5] += 1
-            return a, b, trace
+            shifts = shift(lower, upper)
+            upper[5] += 1
+            return shifts
 
         monkeypatch.setattr(inv, "_shift", widened)
         with pytest.raises(AssertionError, match="not nondecreasing at M=5"):
@@ -126,6 +126,44 @@ class TestCstarComposition:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    # cstar_table keeps the greedy's coverage for every interval whose
+    # endpoints it did not change; one slid while _shift reports no shift
+    # must be summed again, so it fails the level or stores its own coverage
+    def test_unreported_slide_leaves_no_stale_coverage(self, monkeypatch):
+        inv = importlib.import_module("hyperci.invert")
+        shift = inv._shift
+        slid = []
+
+        def slide(lower, upper):  # one unmoved interval one point right, still monotone
+            shifts = shift(lower, upper)
+            for M in range(1, len(lower) - 2):
+                if M not in shifts[0] and M not in shifts[1] and \
+                        lower[M] < lower[M + 1] and upper[M] < upper[M + 1]:
+                    lower[M] += 1
+                    upper[M] += 1
+                    slid.append(M)
+                    break
+            return shifts
+
+        monkeypatch.setattr(inv, "_shift", slide)
+        cases = [(N, n, a) for N in range(1, 31) for n in range(1, N + 1)
+                 for a in (Fraction(1, 5), Fraction(3, 5))]
+        cases += [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05)]
+        outcomes = set()
+        for N, n, alpha in cases:
+            slid.clear()
+            try:
+                tbl = cstar_table(Params(N, n, alpha))
+            except AssertionError as e:
+                assert slid and "below level" in str(e), (N, n, alpha)
+                outcomes.add("raised")
+                continue
+            bare = table_from_csv(table_to_csv(tbl))
+            want = [coverage(bare, M) for M in range(N + 1)]
+            assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
+            outcomes.add("stored" if slid else "unslid")
+        assert outcomes == {"raised", "stored", "unslid"}
 
     def test_failed_centre_cross_check_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main

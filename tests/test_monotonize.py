@@ -72,6 +72,33 @@ class TestAdjust:
             min(half.upper[M:]) for M in range(len(half))
         ]
 
+    # every field against its definition, over certify's grid and the
+    # benchmark ladder, where the shift raises intervals; the ladder's full
+    # mirrored families add the lowered ones
+    def test_trace_matches_definition(self):
+        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in DEFAULT_ALPHAS]
+        ladder = [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
+                  (5000, 1000, 0.05)]
+        families = [amo_half(Params(*c)) for c in cases + ladder]
+        families += [reflect_full(amo_half(Params(*c))) for c in ladder]
+        raised = lowered = 0
+        for half in families:
+            _, trace = adjust(half)
+            a, b, k = half.lower, half.upper, len(half)
+            run_max = tuple(max(a[: M + 1]) for M in range(k))
+            run_min = tuple(min(b[M:]) for M in range(k))
+            set_lower = {M for M in range(k) if a[M] < run_max[M]}
+            set_upper = {M for M in range(k) if b[M] > run_min[M]}
+            delta = tuple(run_max[M] - a[M] if M in set_lower else
+                          b[M] - run_min[M] if M in set_upper else 0 for M in range(k))
+            assert trace.running_max_lower == run_max, half.params
+            assert trace.running_min_upper == run_min, half.params
+            assert trace.set_lower == set_lower and trace.set_upper == set_upper, half.params
+            assert trace.delta == delta and trace.max_shift == max(delta), half.params
+            raised += len(set_lower)
+            lowered += len(set_upper)
+        assert raised and lowered
+
     def test_corrupt_input_diagnostic_names_m(self):
         p = Params(20, 6, 0.6)
         half = amo_half(p)
