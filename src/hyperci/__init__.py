@@ -14,13 +14,11 @@ from .certify import CertificationReport, run_certification
 from .core import (
     Params,
     interval_prob,
-    log_pmf,
-    lower_tail,
     mode,
     pmf,
     support,
 )
-from .invert import (
+from .inversion import (
     ConfidenceTable,
     Method,
     acceptance_of,
@@ -60,8 +58,6 @@ __all__ = [
     "exact_interval_prob",
     "interval_prob",
     "invert",
-    "log_pmf",
-    "lower_tail",
     "min_level_interval",
     "min_symmetric_total",
     "mode",

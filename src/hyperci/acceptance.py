@@ -31,7 +31,7 @@ class AcceptanceFamily:
     """Per-M acceptance intervals [lower[M], upper[M]] for M = 0..len-1.
 
     The constructor checks only that each interval lies in its support;
-    the ``invert`` module says where the other invariants are checked.
+    the ``inversion`` module says where the other invariants are checked.
     """
 
     params: Params

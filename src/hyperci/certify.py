@@ -1,10 +1,13 @@
 """Grid certification: exact brute-force verification of every claim.
 
-Runs the full pipeline on a small grid of (N, n, alpha) instances with
-alpha as an exact rational, checks each structural and optimality claim
-against the oracle module's naive searches, and verifies the supporting
-distribution properties exhaustively in integer arithmetic. Produces a text
-report with one line per check and instance counts.
+Builds each C* table of a small grid of (N, n, alpha) instances once, with
+alpha as an exact rational, and checks the table that ``cstar_table`` ships
+and the evidence its build returns (the inverted family, the shifts, the
+centre's input) against the oracle module's naive searches; the greedy half
+is that family's lower half with the recorded shifts undone. It also
+verifies the supporting distribution properties exhaustively in integer
+arithmetic. Produces a text report with one line per check and instance
+counts.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .acceptance import amo_half, reflect_full
+from .acceptance import AcceptanceFamily, reflect_full
 from .core import Params, mode, support
-from .invert import acceptance_of, coverage, cstar_table, invert
-from .monotonize import adjust, center_interval, symmetrize
+from .inversion import _build, acceptance_of, coverage, invert
 from .pivot import pivot_ci, pivot_table
 
 DEFAULT_ALPHAS = (
@@ -113,18 +115,21 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     rows = [oracle.prefix_row(M, p) for M in range(N + 1)]
     k = N // 2
 
-    def below_level(fam):
+    def below_level(family):
         return [
             M
-            for M, (a, b) in enumerate(zip(fam.lower, fam.upper))
+            for M, (a, b) in enumerate(zip(family.lower, family.upper))
             if oracle.window_mass(rows[M], a, b) < bar
         ]
 
-    half = amo_half(p)
-    adjusted, trace = adjust(half)
-    sym = symmetrize(adjusted, p)
-    tbl = cstar_table(p)
+    tbl, fam, up, down, (a_k, b_k) = _build(p)
     ptbl = pivot_table(p)
+    # the shifted half M = 0..N//2 (its centre before the even-N centre
+    # replaced it), and the greedy half: the same with the shifts undone
+    shifted = AcceptanceFamily(p, fam.lower[:k] + (a_k,), fam.upper[:k] + (b_k,))
+    undo = [down.get(M, 0) - up.get(M, 0) for M in range(k + 1)]
+    half = AcceptanceFamily(p, tuple(a + d for a, d in zip(shifted.lower, undo)),
+                            tuple(b + d for b, d in zip(shifted.upper, undo)))
 
     # greedy output must have minimum cardinality and, within that
     # cardinality, maximal probability
@@ -155,42 +160,39 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     )
     t.hit("raw-structure", 1, None if ok else f"{tag} raw family structure broken")
 
-    # shift bookkeeping
+    # shift bookkeeping: each move keeps the greedy's minimum cardinality
     t.hit(
         "shift-disjoint-sets",
         1,
-        None if not (trace.set_lower & trace.set_upper) else f"{tag} sets overlap",
+        None if not (up.keys() & down.keys()) else f"{tag} sets overlap",
     )
-    ok = all(adjusted.length(M) == half.length(M) for M in range(k + 1))
+    ok = all(shifted.length(M) == cards[M] for M in range(k + 1))
     t.hit("shift-length-preserved", 1, None if ok else f"{tag} lengths changed")
-    bad = below_level(adjusted)
+    bad = below_level(shifted)
     t.hit("shift-level-preserved", 1, None if not bad else f"{tag} M={bad[:3]}")
-    t.metric_max("shift-metrics", "max_delta", trace.max_shift, tag)
+    max_delta = max([*up.values(), *down.values()], default=0)
+    t.metric_max("shift-metrics", "max_delta", max_delta, tag)
 
-    # center interval formulas (even N): the tail-scan h, the min-form
-    # shortcut (asserted inside center_interval), and the max-form variant,
-    # whose disagreements are flagged as a metric rather than failures
+    # center interval formulas (even N): the tail-scan h the build set must
+    # equal the min-form shortcut on the centre's input; the max-form
+    # variant's disagreements are flagged as a metric rather than failures
     if N % 2 == 0:
-        a_c, b_c = adjusted.interval(k)
-        try:
-            h = center_interval(p, (a_c, b_c))[0]
-            t.hit("center-formulas", 1)
-        except ValueError as e:
-            t.hit("center-formulas", 1, f"{tag}: {e}")
-            h = min(a_c, n - b_c)
-        if max(a_c, n - b_c) != h:
+        h = fam.lower[k]
+        ok = h == min(a_k, n - b_k) and fam.upper[k] == n - h
+        t.hit("center-formulas", 1, None if ok else f"{tag}: centre {fam.interval(k)}")
+        if max(a_k, n - b_k) != h:
             t.metric_count("center-formulas", "maxform_disagreements")
 
-    # symmetrized family: reflection, nondecreasing endpoints, level at
+    # the inverted family: reflection, nondecreasing endpoints, level at
     # every M, and mirrored lengths
-    bad = below_level(sym)
+    bad = below_level(fam)
     ok = (
         not bad
-        and len(sym) == N + 1
-        and all(sym.lower[M] + sym.upper[N - M] == n for M in range(N + 1))
-        and all(sym.lower[M] <= sym.lower[M + 1] and sym.upper[M] <= sym.upper[M + 1]
+        and len(fam) == N + 1
+        and all(fam.lower[M] + fam.upper[N - M] == n for M in range(N + 1))
+        and all(fam.lower[M] <= fam.lower[M + 1] and fam.upper[M] <= fam.upper[M + 1]
                 for M in range(N))
-        and all(sym.length(M) == sym.length(N - M) for M in range(N + 1))
+        and all(fam.length(M) == fam.length(N - M) for M in range(N + 1))
     )
     t.hit("family-level", 1,
           None if ok else f"{tag} symmetrized reflection/order/level/length {bad[:3]}")
@@ -199,12 +201,13 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     bad = below_level(refl)
     t.hit("reflect-level", 1, None if not bad else f"{tag} M={bad[:3]}")
 
-    # inversion: duality round trips, total-size double count, endpoints
+    # inversion: the dual found by bisection equals the family the merge
+    # sweep inverted; round trip, total-size double count, endpoints
     dual = acceptance_of(tbl)
     ok = (
-        tbl.total_size == sym.total_size()
-        and dual.lower == sym.lower
-        and dual.upper == sym.upper
+        tbl.total_size == fam.total_size()
+        and dual.lower == fam.lower
+        and dual.upper == fam.upper
         and invert(dual) == tbl
         and tbl.lower[0] == 0
         and tbl.upper[n] == N
@@ -262,7 +265,7 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
             t.metric_count("size-optimality", "set_gap_instances")
 
     if (N, n, alpha) == (20, 6, Fraction(3, 5)):
-        ok = gap == 1 and sym.interval(10) == (2, 4)
+        ok = gap == 1 and fam.interval(10) == (2, 4)
         t.hit("adversarial-even-case", 1, None if ok else f"{tag} expected +1 gap at [2,4]")
 
     if N % 2 == 0 and n <= SUBSET_CAP:
@@ -435,6 +438,8 @@ def run_certification(
     A repeated N or alpha runs once: N values are sorted, alphas keep the
     order of their first occurrence. Every instance is checked in this
     process, in grid order, and adds its results to one set of tallies.
+    A bad grid raises ValueError; a ValueError while checking the validated
+    grid is a program fault and raises AssertionError.
     """
     if max_population > oracle.N_CAP:
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
@@ -446,14 +451,17 @@ def run_certification(
         raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
     alphas = tuple(dict.fromkeys(Fraction(a) for a in alphas))  # first occurrence kept
     tallies = Tallies()
-    for N in ns:
-        for n in range(1, N + 1):
-            for a in alphas:
-                check_instance(tallies, N, n, a)
-    for N in ns:
-        if N <= max(PROPERTY_CAP, RATIO_CAP, SUBSET_CAP):
+    try:
+        for N in ns:
             for n in range(1, N + 1):
-                check_distribution(tallies, N, n, alphas)
+                for a in alphas:
+                    check_instance(tallies, N, n, a)
+        for N in ns:
+            if N <= max(PROPERTY_CAP, RATIO_CAP, SUBSET_CAP):
+                for n in range(1, N + 1):
+                    check_distribution(tallies, N, n, alphas)
+    except ValueError as e:  # the grid is valid, so a failed self-check is a program fault
+        raise AssertionError(f"certification self-check failed: {e}") from e
     tallies.setdefault("size-optimality", Tally("size-optimality")).metrics.setdefault(
         "set_gap_instances", 0
     )

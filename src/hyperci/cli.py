@@ -27,7 +27,7 @@ from functools import partial
 from .acceptance import interval_masses
 from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
-from .invert import ConfidenceTable, acceptance_of, cstar_table, table_to_csv
+from .inversion import ConfidenceTable, acceptance_of, cstar_table, table_to_csv
 from .pivot import pivot_table
 
 

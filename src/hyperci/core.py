@@ -7,10 +7,9 @@ to ``C(N,n)`` over the support for every M:
   (the integer weight sum over [a, b]) and ``lower_quantile`` (the
   smallest x whose lower tail exceeds a threshold); both step through
   only the points they need;
-* probabilities (``pmf``, ``lower_tail``, ``interval_prob``) sum weights
-  exactly and round once at the final division, so a reported value is the
-  correctly rounded double of the true rational (a full-support sum is
-  exactly 1.0);
+* probabilities (``pmf``, ``interval_prob``) sum weights exactly and round
+  once at the final division, so a reported value is the correctly rounded
+  double of the true rational (a full-support sum is exactly 1.0);
 * threshold decisions (``attains_level``, ``weight_exceeds``,
   ``lower_quantile``) compare integer weight sums against the exact integer
   ratio of alpha, never a rounded double; pass alpha as a
@@ -24,8 +23,7 @@ to ``C(N,n)`` over the support for every M:
   ``carry_window`` is the one window move; its two callers are the greedy
   sweep (``acceptance._greedy_sweep``, whose masses are a C* table's stored
   coverage) and ``acceptance.interval_masses``, which serves ``adjust``'s
-  level guard and the all-M coverage of other tables (``hyperci coverage``);
-* ``log_pmf`` serves log-scale queries with O(1) ``math.lgamma`` calls.
+  level guard and the all-M coverage of other tables (``hyperci coverage``).
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ from fractions import Fraction
 from typing import Union
 
 AlphaLike = Union[float, Fraction]
-
-NEG_INF = float("-inf")
 
 DRIFTED = "carried window mass drifted; corrupt kernels"
 
@@ -90,27 +86,6 @@ def mode(M: int, p: Params) -> int:
     return ((p.n + 1) * (M + 1)) // (p.N + 2)
 
 
-def log_pmf(M: int, x: int, p: Params) -> float:
-    """Natural log of P_M(X = x); -inf outside the support.
-
-    The log-factorial terms are grouped into sums invariant under the
-    reflection (M, x) -> (N-M, n-x), so reflected calls return bit-identical
-    values.
-    """
-    lo, hi = support(M, p)
-    if x < lo or x > hi:
-        return NEG_INF
-
-    def lf(k):
-        return math.lgamma(k + 1)
-
-    N, n = p.N, p.n
-    t_pop = lf(M) + lf(N - M)
-    t_split = (lf(x) + lf(M - x)) + (lf(n - x) + lf(N - M - n + x))
-    t_const = lf(N) - lf(n) - lf(N - n)
-    return (t_pop - t_split) - t_const
-
-
 def pmf(M: int, x: int, p: Params) -> float:
     """P_M(X = x): the correctly rounded double of the exact rational."""
     return weight(M, x, p) / p.total_weight
@@ -124,12 +99,6 @@ def interval_prob(M: int, a: int, b: int, p: Params) -> float:
     result is the correctly rounded double of the true probability.
     """
     return interval_weight(M, a, b, p) / p.total_weight
-
-
-def lower_tail(M: int, x: int, p: Params) -> float:
-    """P_M(X < x)."""
-    lo, _ = support(M, p)
-    return interval_prob(M, lo, x - 1, p)
 
 
 # -- exact integer kernels ---------------------------------------------------

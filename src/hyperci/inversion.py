@@ -3,16 +3,18 @@
 C(x) = {M : x in A(M)}; with nondecreasing endpoints it is an interval
 [L(x), U(x)], recovered by one merged sweep over M (no per-x searches).
 
-``cstar_table`` composes the stages on endpoint lists and checks each
-invariant of the family it inverts once: the support when its one
-``AcceptanceFamily`` is built; the level at M = 0..N/2 by the greedy's exit
-test where an interval's endpoints are the greedy's, else by an exact sum
-(the few the shift or the even-N centre moved); monotone endpoints in
-``invert``; reflection symmetry in ``ConfidenceTable``. Its input is a valid
-``Params``, so a failed check there is a program fault (AssertionError).
-Those masses over C(N, n) are the coverage at M = 0..N/2 (``invert(fam)``
-has dual ``fam``; coverage(N - M) = coverage(M)), so the table keeps them
-for ``coverage``; other tables are summed per M.
+``cstar_table`` is ``_build(p)[0]``. ``_build`` composes the stages on
+endpoint lists and checks each invariant of the family it inverts once: the
+support when its one ``AcceptanceFamily`` is built; the level at M = 0..N/2
+by the greedy's exit test where an interval's endpoints are the greedy's,
+else by an exact sum (the few the shift or the even-N centre moved);
+monotone endpoints in ``invert``; reflection symmetry in
+``ConfidenceTable``. Its input is a valid ``Params``, so a failed check there
+is a program fault (AssertionError). The level masses over C(N, n) are the
+coverage at M = 0..N/2 (``invert(fam)`` has dual ``fam``; coverage(N - M) =
+coverage(M)), so the table keeps them for ``coverage``; other tables are
+summed per M. ``_build`` also returns what ``certify`` checks besides the
+table: the inverted family, the shifts, and the centre's input.
 """
 
 from __future__ import annotations
@@ -124,13 +126,19 @@ def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
 
 def cstar_table(p: Params) -> ConfidenceTable:
     """``invert(symmetrize(adjust(amo_half(p))[0], p))``, run on endpoint lists."""
+    return _build(p)[0]
+
+
+def _build(p: Params) -> tuple:
+    """(table, inverted family, {M: raise}, {M: drop}, A(N//2) before the centre)."""
     try:
         greedy_lower, greedy_upper, cov = _greedy_sweep(p)
         lower, upper = list(greedy_lower), list(greedy_upper)
-        _shift(lower, upper)
+        up, down = _shift(lower, upper)
         k = p.N // 2
+        pre_centre = (lower[k], upper[k])
         if p.N % 2 == 0:
-            lower[k], upper[k] = center_interval(p, (lower[k], upper[k]))
+            lower[k], upper[k] = center_interval(p, pre_centre)
         # cov holds the greedy's level-checked masses; an interval the shift
         # or the centre changed is summed again
         for M in range(k + 1):
@@ -144,7 +152,7 @@ def cstar_table(p: Params) -> ConfidenceTable:
         fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
         tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(fam))
         object.__setattr__(tbl, "_coverage", tuple(cov))
-        return tbl
+        return tbl, fam, up, down, pre_centre
     except ValueError as e:  # p is valid, so a failed self-check is a program fault
         raise AssertionError(f"C* pipeline self-check failed: {e}") from e
 
@@ -173,14 +181,14 @@ def acceptance_of(tbl: ConfidenceTable) -> AcceptanceFamily:
 #   # time_s: 0.0123        (optional footer, excluded from determinism)
 
 
-def table_to_csv(tbl: ConfidenceTable, elapsed_s: float = None, sep: str = ",") -> str:
+def table_to_csv(tbl: ConfidenceTable, elapsed_s: float = None) -> str:
     p = tbl.params
     lines = [
         f"# hyperci table N={p.N} n={p.n} alpha={p.alpha} method={tbl.method.value}",
-        sep.join(("x", "L", "U")),
+        "x,L,U",
     ]
     for x in range(p.n + 1):
-        lines.append(sep.join((str(x), str(tbl.lower[x]), str(tbl.upper[x]))))
+        lines.append(f"{x},{tbl.lower[x]},{tbl.upper[x]}")
     lines.append(f"# total_size: {tbl.total_size}")
     if elapsed_s is not None:
         lines.append(f"# time_s: {elapsed_s:.4f}")

@@ -11,7 +11,7 @@ and, for even N, replaces the middle entry by the shortest interval
 [h, n-h] symmetric about n/2 that still holds 1 - alpha mass.
 
 ``adjust`` and ``symmetrize`` wrap the list helpers that ``cstar_table``
-runs (``invert`` says where that path checks each invariant); ``_shift``
+runs (``inversion`` says where that path checks each invariant); ``_shift``
 works in place and returns only its shifts, and ``adjust`` builds the trace
 and keeps its level and monotonicity checks for families from outside.
 """

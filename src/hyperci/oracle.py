@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import Params, attains_level, mode, step_down, step_up, support, weight
-from .invert import ConfidenceTable
+from .inversion import ConfidenceTable
 
 N_CAP = 200
 

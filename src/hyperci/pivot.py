@@ -10,7 +10,7 @@ tests against the threshold's integer ratio.
 from __future__ import annotations
 
 from .core import Params, interval_weight, step_m, support, weight, weight_exceeds
-from .invert import ConfidenceTable, Method
+from .inversion import ConfidenceTable, Method
 
 
 def _upper_tail_weight(M: int, x: int, p: Params) -> int:

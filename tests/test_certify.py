@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from hyperci import Params, certify
-from hyperci.acceptance import AcceptanceFamily
+from hyperci.acceptance import AcceptanceFamily, _greedy_sweep
+from hyperci.monotonize import _shift
 from hyperci.certify import (
     CertificationReport,
     Tally,
@@ -33,6 +35,14 @@ class TestSmallGrid:
         grid_instances = sum(N * 5 for N in range(1, 11))
         assert by_name["coverage-exactness"].instances == grid_instances
         assert by_name["greedy-min-cardinality"].instances > grid_instances
+
+
+class TestDefaultGrid:
+    # the N <= 40 report is pinned byte for byte
+    def test_render_digest(self, certification):
+        report, _ = certification
+        digest = hashlib.sha256(report.render().encode()).hexdigest()
+        assert digest == "689fe004be0a761bb29c2f3bbbea18e7c9c9f063204575ba70a1d6b34c5c2aee"
 
 
 class TestTargetedGrids:
@@ -80,22 +90,57 @@ class TestTargetedGrids:
 class TestFamilyLevel:
     # level at alpha = 9/10 and with mirrored lengths, but the first family
     # breaks reflection (A(3) = [1, 1], not n - A(1) = [2, 2]) and the second
-    # monotone endpoints (A(1) = [1, 1], then A(2) = [0, 2]); the inversion
-    # that would also reject them is stubbed out
+    # monotone endpoints (A(1) = [1, 1], then A(2) = [0, 2]); the build
+    # returns it in place of the family it inverted
     @pytest.mark.parametrize("lower, upper", [((0, 0, 1, 1, 2), (0, 0, 1, 1, 2)),
                                               ((0, 1, 0, 1, 2), (0, 1, 2, 1, 2))])
     def test_flags_broken_symmetrized_family(self, monkeypatch, lower, upper):
         p = Params(4, 2, Fraction(9, 10))
-        tbl = certify.invert(certify.symmetrize(certify.adjust(certify.amo_half(p))[0], p))
+        tbl, _, up, down, centre = certify._build(p)
         broken = AcceptanceFamily(p, lower, upper)
-        monkeypatch.setattr(certify, "symmetrize", lambda adjusted, p: broken)
-        monkeypatch.setattr(certify, "invert", lambda fam: tbl)
+        monkeypatch.setattr(certify, "_build", lambda p: (tbl, broken, up, down, centre))
         monkeypatch.setattr(certify, "PIVOT_CAP", 0)
         monkeypatch.setattr(certify, "SUBSET_CAP", 0)
         t = certify.Tallies()
         certify.check_instance(t, p.N, p.n, p.alpha)
         assert t["family-level"].failures
         assert not t["shift-level-preserved"].failures
+
+
+# half families that raise an interval; the default grid (N <= 40) moves none
+SHIFT_CORPUS = [(57, 11, Fraction(1, 20)), (59, 12, Fraction(1, 10)), (60, 12, Fraction(1, 10))]
+
+
+class TestShiftedInstances:
+    def test_shift_corpus_passes(self):
+        t = certify.Tallies()
+        for N, n, alpha in SHIFT_CORPUS:
+            certify.check_instance(t, N, n, alpha)
+        for tally in t.values():
+            assert tally.ok, (tally.name, tally.failures)
+        assert t["shift-metrics"].metrics["max_delta"][0] >= 1
+
+    # certify reads back the one build it checks: one greedy sweep and one
+    # shift per instance, whichever module they are reached through
+    def test_pipeline_runs_once_per_instance(self, monkeypatch):
+        calls = {"greedy": 0, "shift": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in ("acceptance", "inversion"):
+            monkeypatch.setattr(f"hyperci.{module}._greedy_sweep",
+                                counted("greedy", _greedy_sweep))
+        for module in ("monotonize", "inversion"):
+            monkeypatch.setattr(f"hyperci.{module}._shift", counted("shift", _shift))
+        monkeypatch.setattr(certify, "PIVOT_CAP", 0)
+        for N, n, alpha in SHIFT_CORPUS[:1] + [(20, 6, Fraction(3, 5))]:
+            calls.update(greedy=0, shift=0)
+            certify.check_instance(certify.Tallies(), N, n, alpha)
+            assert calls == {"greedy": 1, "shift": 1}, (N, n, alpha)
 
 
 class TestReportMechanics:

@@ -9,7 +9,7 @@ import pytest
 import hyperci
 from hyperci import Params, coverage, cstar_table, pivot_table
 from hyperci.cli import main
-from hyperci.invert import table_from_csv, table_to_csv
+from hyperci.inversion import table_from_csv, table_to_csv
 
 
 def run(capsys, *argv):
@@ -395,6 +395,25 @@ class TestCertify:
         assert out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
         assert "corrupt kernels" in err
+
+    # a self-check that fails while a validated grid is checked is a program
+    # fault, whether the C* build or a certify check raises it
+    @pytest.mark.parametrize("target, message", [
+        ("hyperci.inversion._shift", "shift sets overlap at M=[1]"),
+        ("hyperci.oracle.min_level_interval", "no level interval"),
+    ])
+    def test_self_check_failure_during_certify_exits_3(self, capsys, monkeypatch,
+                                                        target, message):
+        def broken(*args):
+            raise ValueError(message)
+
+        monkeypatch.setattr(target, broken)
+        code, out, err = run(capsys, "certify", "--max-N", "4")
+        assert code == 3
+        assert out == ""
+        assert [l for l in err.splitlines() if l.startswith("internal error: ")] == \
+            err.splitlines()
+        assert err.count("\n") == 1 and message in err
 
     def test_excessive_grid_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "certify", "--max-N", "300")

@@ -11,9 +11,7 @@ from hyperci.core import (
     carry_window,
     interval_prob,
     interval_weight,
-    log_pmf,
     lower_quantile,
-    lower_tail,
     mode,
     pmf,
     step_down,
@@ -23,8 +21,6 @@ from hyperci.core import (
     weight,
 )
 from hyperci.oracle import weight_table
-
-NEG_INF = float("-inf")
 
 
 class TestParams:
@@ -87,32 +83,10 @@ class TestMode:
                     assert w[mode(M, p) - lo] == max(w)
 
 
-class TestLogPmf:
-    def test_known_value(self):
-        # P(X = 2) at N=20, n=6, M=10 rounds to 0.244
-        p = Params(20, 6, 0.6)
-        assert round(math.exp(log_pmf(10, 2, p)), 3) == 0.244
-
-    def test_symmetric_pair_identical(self):
-        p = Params(20, 6, 0.6)
-        assert log_pmf(10, 2, p) == log_pmf(10, 4, p)
-
+class TestPmf:
     def test_outside_support(self):
         p = Params(20, 6, 0.6)
-        assert log_pmf(0, 1, p) == NEG_INF
         assert pmf(0, 1, p) == 0.0
-
-    def test_reflection_within_tolerance(self):
-        for N, n in [(17, 5), (30, 11), (41, 41)]:
-            p = Params(N, n, 0.3)
-            for M in range(N + 1):
-                for x in range(n + 1):
-                    left = log_pmf(M, x, p)
-                    right = log_pmf(N - M, n - x, p)
-                    if left == NEG_INF or right == NEG_INF:
-                        assert left == right
-                    else:
-                        assert abs(left - right) <= 1e-13
 
     def test_matches_integer_weights(self):
         p = Params(37, 12, 0.1)
@@ -124,19 +98,20 @@ class TestLogPmf:
 
 
 class TestTailsAndIntervals:
+    # the lower tail P_M(X < x) is interval_prob(M, lo, x - 1, p)
     def test_lower_tail_at_support_start(self):
         p = Params(20, 6, 0.6)
-        assert lower_tail(10, 0, p) == 0.0
-        assert lower_tail(10, -3, p) == 0.0
+        assert interval_prob(10, 0, -1, p) == 0.0
+        assert interval_prob(10, 0, -4, p) == 0.0
 
     def test_lower_tail_past_support_is_one(self):
         p = Params(20, 6, 0.6)
-        assert lower_tail(10, 7, p) == pytest.approx(1.0, abs=1e-12)
+        assert interval_prob(10, 0, 6, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_lower_tail_value(self):
         # exact tail below 2: (210 + 2520) / 38760
         p = Params(20, 6, 0.6)
-        assert lower_tail(10, 2, p) == pytest.approx(2730 / 38760, abs=1e-13)
+        assert interval_prob(10, 0, 1, p) == pytest.approx(2730 / 38760, abs=1e-13)
 
     def test_interval_prob_known(self):
         p = Params(20, 6, 0.6)
@@ -227,7 +202,7 @@ def test_normalization_and_tail_complement(data):
     total = sum(pmf(M, x, p) for x in range(lo, hi + 1))
     assert total == pytest.approx(1.0, abs=1e-12)
     x = data.draw(st.integers(lo, hi))
-    assert lower_tail(M, x, p) + interval_prob(M, x, hi, p) == pytest.approx(
+    assert interval_prob(M, lo, x - 1, p) + interval_prob(M, x, hi, p) == pytest.approx(
         1.0, abs=1e-12
     )
 

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import pickle
 from fractions import Fraction
 
@@ -23,7 +22,8 @@ from hyperci import (
     total_size_diff,
 )
 from hyperci.acceptance import AcceptanceFamily
-from hyperci.monotonize import center_interval
+from hyperci.core import lower_quantile
+from hyperci.monotonize import _shift, center_interval
 
 
 def pipeline(N, n, alpha):
@@ -94,10 +94,9 @@ class TestCstarComposition:
     def test_below_level_centre_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        inv = importlib.import_module("hyperci.invert")  # the package's `invert` is the function
-        center = inv.center_interval
-        monkeypatch.setattr(inv, "center_interval",
-                            lambda p, raw: (center(p, raw)[0] + 1, center(p, raw)[1] - 1))
+        monkeypatch.setattr("hyperci.inversion.center_interval",
+                            lambda p, raw: (center_interval(p, raw)[0] + 1,
+                                            center_interval(p, raw)[1] - 1))
         with pytest.raises(AssertionError, match="below level at M=20"):
             cstar_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
@@ -111,15 +110,12 @@ class TestCstarComposition:
     def test_widened_interval_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        inv = importlib.import_module("hyperci.invert")
-        shift = inv._shift
-
         def widened(lower, upper):  # b_5 one higher keeps the level, breaks order
-            shifts = shift(lower, upper)
+            shifts = _shift(lower, upper)
             upper[5] += 1
             return shifts
 
-        monkeypatch.setattr(inv, "_shift", widened)
+        monkeypatch.setattr("hyperci.inversion._shift", widened)
         with pytest.raises(AssertionError, match="not nondecreasing at M=5"):
             cstar_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
@@ -131,12 +127,10 @@ class TestCstarComposition:
     # endpoints it did not change; one slid while _shift reports no shift
     # must be summed again, so it fails the level or stores its own coverage
     def test_unreported_slide_leaves_no_stale_coverage(self, monkeypatch):
-        inv = importlib.import_module("hyperci.invert")
-        shift = inv._shift
         slid = []
 
         def slide(lower, upper):  # one unmoved interval one point right, still monotone
-            shifts = shift(lower, upper)
+            shifts = _shift(lower, upper)
             for M in range(1, len(lower) - 2):
                 if M not in shifts[0] and M not in shifts[1] and \
                         lower[M] < lower[M + 1] and upper[M] < upper[M + 1]:
@@ -146,7 +140,7 @@ class TestCstarComposition:
                     break
             return shifts
 
-        monkeypatch.setattr(inv, "_shift", slide)
+        monkeypatch.setattr("hyperci.inversion._shift", slide)
         cases = [(N, n, a) for N in range(1, 31) for n in range(1, N + 1)
                  for a in (Fraction(1, 5), Fraction(3, 5))]
         cases += [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05)]
@@ -168,9 +162,8 @@ class TestCstarComposition:
     def test_failed_centre_cross_check_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        mono = importlib.import_module("hyperci.monotonize")
-        quantile = mono.lower_quantile
-        monkeypatch.setattr(mono, "lower_quantile", lambda M, t, p: quantile(M, t, p) - 1)
+        monkeypatch.setattr("hyperci.monotonize.lower_quantile",
+                            lambda M, t, p: lower_quantile(M, t, p) - 1)
         with pytest.raises(AssertionError, match="center cross-check failed"):
             cstar_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
@@ -180,6 +173,19 @@ class TestCstarComposition:
         # the public stage keeps ValueError for a centre from outside
         with pytest.raises(ValueError, match="center cross-check failed"):
             center_interval(Params(40, 13, 0.2), (5, 8))
+
+    # the module is `hyperci.inversion`, so a dotted patch path reaches it,
+    # while the package's name `invert` stays the function
+    def test_module_reachable_by_patch_path(self, monkeypatch):
+        import hyperci
+
+        def broken(p):
+            raise AssertionError("patched greedy")
+
+        monkeypatch.setattr("hyperci.inversion._greedy_sweep", broken)
+        with pytest.raises(AssertionError, match="patched greedy"):
+            cstar_table(Params(10, 3, 0.1))
+        assert hyperci.invert is invert and hyperci.inversion.invert is invert
 
     def test_bad_input_still_exits_2(self, capsys):
         from hyperci.cli import main
@@ -331,7 +337,7 @@ class TestCsvRoundTrip:
 
     def test_tsv_round_trip(self):
         tbl = cstar_table(Params(18, 5, 0.1))
-        assert table_from_csv(table_to_csv(tbl, sep="\t")) == tbl
+        assert table_from_csv(table_to_csv(tbl).replace(",", "\t")) == tbl
 
     def test_total_footer_validated(self):
         tbl = cstar_table(Params(20, 6, 0.6))
