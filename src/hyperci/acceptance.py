@@ -30,8 +30,8 @@ from .core import DRIFTED, Params, carry_window, interval_weight, step_down, ste
 class AcceptanceFamily:
     """Per-M acceptance intervals [lower[M], upper[M]] for M = 0..len-1.
 
-    The constructor checks only that each interval lies in its support;
-    the ``inversion`` module says where the other invariants are checked.
+    The constructor checks only the support, by ``_check_support`` (the C*
+    build runs it on its half); ``inversion._build`` lists the others.
     """
 
     params: Params
@@ -41,14 +41,8 @@ class AcceptanceFamily:
     def __post_init__(self):
         if len(self.lower) != len(self.upper) or not self.lower:
             raise ValueError("lower/upper must be nonempty and equally long")
-        N, n = self.params.N, self.params.n
         self.params.check_m(len(self.lower) - 1)
-        for M, (a, b) in enumerate(zip(self.lower, self.upper)):
-            lo, hi = max(0, M + n - N), min(M, n)
-            if not lo <= a <= b <= hi:
-                raise ValueError(
-                    f"interval [{a}, {b}] at M={M} leaves the support [{lo}, {hi}]"
-                )
+        _check_support(self.params, self.lower, self.upper)
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -65,6 +59,15 @@ class AcceptanceFamily:
     def masses(self) -> list:
         """Exact weight sum of each interval, for M = 0..len-1 (``interval_masses``)."""
         return list(interval_masses(self.params, self.lower, self.upper))
+
+
+def _check_support(p: Params, lower, upper) -> None:
+    """Raise ValueError unless lo <= lower[M] <= upper[M] <= hi at each M."""
+    N, n = p.N, p.n
+    for M, (a, b) in enumerate(zip(lower, upper)):
+        lo, hi = max(0, M + n - N), min(M, n)
+        if not lo <= a <= b <= hi:
+            raise ValueError(f"interval [{a}, {b}] at M={M} leaves the support [{lo}, {hi}]")
 
 
 def interval_masses(p: Params, lower, upper) -> Iterator[int]:

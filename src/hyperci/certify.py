@@ -2,7 +2,7 @@
 
 Builds each C* table of a small grid of (N, n, alpha) instances once, with
 alpha as an exact rational, and checks the table that ``cstar_table`` ships
-and the evidence its build returns (the inverted family, the shifts, the
+and the evidence its build returns (the family it inverted, the shifts, the
 centre's input) against the oracle module's naive searches; the greedy half
 is that family's lower half with the recorded shifts undone. It also
 verifies the supporting distribution properties exhaustively in integer
@@ -122,7 +122,8 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
             if oracle.window_mass(rows[M], a, b) < bar
         ]
 
-    tbl, fam, up, down, (a_k, b_k) = _build(p)
+    tbl, lower, upper, up, down, (a_k, b_k) = _build(p)
+    fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
     ptbl = pivot_table(p)
     # the shifted half M = 0..N//2 (its centre before the even-N centre
     # replaced it), and the greedy half: the same with the shifts undone
@@ -160,12 +161,14 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     )
     t.hit("raw-structure", 1, None if ok else f"{tag} raw family structure broken")
 
-    # shift bookkeeping: each move keeps the greedy's minimum cardinality
-    t.hit(
-        "shift-disjoint-sets",
-        1,
-        None if not (up.keys() & down.keys()) else f"{tag} sets overlap",
-    )
+    # shift bookkeeping: the build's shifts must be the greedy half's offenders,
+    # raise(M) = max(a_0..a_M) - a_M and drop(M) = b_M - min(b_M..b_k) where positive
+    a, b = half.lower, half.upper
+    raises = {M: d for M in range(k + 1) if (d := max(a[:M + 1]) - a[M]) > 0}
+    drops = {M: d for M in range(k + 1) if (d := b[M] - min(b[M:])) > 0}
+    ok = raises == up and drops == down and not (up.keys() & down.keys())
+    t.hit("shift-disjoint-sets", 1,
+          None if ok else f"{tag} shifts {up}, {down}; by definition {raises}, {drops}")
     ok = all(shifted.length(M) == cards[M] for M in range(k + 1))
     t.hit("shift-length-preserved", 1, None if ok else f"{tag} lengths changed")
     bad = below_level(shifted)
@@ -201,8 +204,8 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     bad = below_level(refl)
     t.hit("reflect-level", 1, None if not bad else f"{tag} M={bad[:3]}")
 
-    # inversion: the dual found by bisection equals the family the merge
-    # sweep inverted; round trip, total-size double count, endpoints
+    # inversion: the dual read back from the table equals the family the
+    # build inverted; round trip, total-size double count, endpoints
     dual = acceptance_of(tbl)
     ok = (
         tbl.total_size == fam.total_size()

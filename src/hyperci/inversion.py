@@ -2,19 +2,13 @@
 
 C(x) = {M : x in A(M)}; with nondecreasing endpoints it is an interval
 [L(x), U(x)], recovered by one merged sweep over M (no per-x searches).
+``_inverse`` is that sweep on endpoint lists, and the only one: ``invert``,
+``cstar_table`` and ``pivot_table`` all run it.
 
-``cstar_table`` is ``_build(p)[0]``. ``_build`` composes the stages on
-endpoint lists and checks each invariant of the family it inverts once: the
-support when its one ``AcceptanceFamily`` is built; the level at M = 0..N/2
-by the greedy's exit test where an interval's endpoints are the greedy's,
-else by an exact sum (the few the shift or the even-N centre moved);
-monotone endpoints in ``invert``; reflection symmetry in
-``ConfidenceTable``. Its input is a valid ``Params``, so a failed check there
-is a program fault (AssertionError). The level masses over C(N, n) are the
-coverage at M = 0..N/2 (``invert(fam)`` has dual ``fam``; coverage(N - M) =
-coverage(M)), so the table keeps them for ``coverage``; other tables are
-summed per M. ``_build`` also returns what ``certify`` checks besides the
-table: the inverted family, the shifts, and the centre's input.
+``cstar_table`` is ``_build(p)[0]``; ``_build``'s docstring lists where it
+checks each invariant. Its level masses over C(N, n) are the coverage at
+M = 0..N/2 (``invert(fam)`` has dual ``fam``; coverage(N - M) =
+coverage(M)), so the table keeps them; other tables are summed per M.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .acceptance import AcceptanceFamily, _greedy_sweep, _mirror
+from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror
 from .core import Params, attains_level, interval_prob, interval_weight
 from .monotonize import _shift, center_interval
 
@@ -71,26 +65,20 @@ class ConfidenceTable:
 
 def invert(fam: AcceptanceFamily, method: Method = Method.CSTAR) -> ConfidenceTable:
     """Confidence table from a full family with nondecreasing endpoints."""
-    return ConfidenceTable(fam.params, method, *_inverse(fam))
+    return ConfidenceTable(fam.params, method, *_inverse(fam.params, fam.lower, fam.upper))
 
 
-def _inverse(fam: AcceptanceFamily) -> tuple:
-    """Endpoint tuples (L, U) of ``invert(fam)``, with its checks."""
-    p = fam.params
+def _inverse(p: Params, a, b) -> tuple:
+    """Endpoint tuples (L, U) inverting the family [a[M], b[M]], M = 0..N."""
     N, n = p.N, p.n
-    if len(fam) != N + 1:
+    if len(a) != N + 1 or len(b) != N + 1:
         raise ValueError("family must cover M = 0..N")
-    a, b = fam.lower, fam.upper
-    for M in range(N):
-        if a[M] > a[M + 1] or b[M] > b[M + 1]:
-            raise ValueError(
-                f"family endpoints not nondecreasing at M={M}; inversion "
-                "would not be interval-valued"
-            )
-    lower = [0] * (n + 1)
-    upper = [0] * (n + 1)
-    m_low = 0   # min M with b_M >= x
-    m_high = 0  # max M with a_M <= x
+    if list(a) != sorted(a) or list(b) != sorted(b):  # sorting a sorted list is one C pass
+        M = next(M for M in range(N) if a[M] > a[M + 1] or b[M] > b[M + 1])
+        raise ValueError(f"family endpoints not nondecreasing at M={M}; "
+                         "inversion would not be interval-valued")
+    lower, upper = [0] * (n + 1), [0] * (n + 1)
+    m_low = m_high = 0  # min M with b_M >= x, max M with a_M <= x
     for x in range(n + 1):
         while m_low <= N and b[m_low] < x:
             m_low += 1
@@ -130,7 +118,17 @@ def cstar_table(p: Params) -> ConfidenceTable:
 
 
 def _build(p: Params) -> tuple:
-    """(table, inverted family, {M: raise}, {M: drop}, A(N//2) before the centre)."""
+    """(table, lower, upper, {M: raise}, {M: drop}, A(N//2) before the centre).
+
+    lower and upper are the family over M = 0..N that the table inverts.
+    Each of its invariants is checked once: the level at M = 0..N/2, by the
+    greedy's exit test where an interval is the greedy's, else by an exact
+    sum (the few the shift or the even-N centre moved); the support there,
+    by ``_check_support`` (``_mirror`` maps the support of M onto that of
+    N - M); monotone endpoints in ``_inverse``; reflection symmetry in
+    ``ConfidenceTable``, which a mirror fault that changes a row breaks.
+    p is valid, so a failed check is a program fault (AssertionError).
+    """
     try:
         greedy_lower, greedy_upper, cov = _greedy_sweep(p)
         lower, upper = list(greedy_lower), list(greedy_upper)
@@ -147,12 +145,12 @@ def _build(p: Params) -> tuple:
                 if not attains_level(mass, p):
                     raise AssertionError(f"C* family below level at M={M}: {lower[M], upper[M]}")
                 cov[M] = mass / p.total_weight
+        _check_support(p, lower, upper)
         del greedy_lower, greedy_upper  # freed before the full-length lists: peak memory
         lower, upper = _mirror(p, lower, upper)
-        fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
-        tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(fam))
+        tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(p, lower, upper))
         object.__setattr__(tbl, "_coverage", tuple(cov))
-        return tbl, fam, up, down, pre_centre
+        return tbl, lower, upper, up, down, pre_centre
     except ValueError as e:  # p is valid, so a failed self-check is a program fault
         raise AssertionError(f"C* pipeline self-check failed: {e}") from e
 

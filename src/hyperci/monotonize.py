@@ -11,9 +11,9 @@ and, for even N, replaces the middle entry by the shortest interval
 [h, n-h] symmetric about n/2 that still holds 1 - alpha mass.
 
 ``adjust`` and ``symmetrize`` wrap the list helpers that ``cstar_table``
-runs (``inversion`` says where that path checks each invariant); ``_shift``
-works in place and returns only its shifts, and ``adjust`` builds the trace
-and keeps its level and monotonicity checks for families from outside.
+runs (``inversion._build`` says where that path checks each invariant);
+``_shift`` works in place and returns only its shifts, and ``adjust`` builds
+the trace and keeps its level and monotonicity checks for outside families.
 """
 
 from __future__ import annotations

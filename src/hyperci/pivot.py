@@ -2,15 +2,16 @@
 
 L(x) is the smallest M whose upper tail P_M(X >= x) exceeds alpha1, U(x)
 the largest M whose lower tail P_M(X <= x) exceeds alpha2. Both tails are
-monotone in M, so single intervals can use binary search; full tables use
-one quantile sweep over M instead. All tail comparisons are exact integer
-tests against the threshold's integer ratio.
+monotone in M, so single intervals can use binary search; a full table
+is the inversion of the equal-tail acceptance intervals, by the sweep
+``invert`` runs. All tail comparisons are exact integer tests against the
+threshold's integer ratio.
 """
 
 from __future__ import annotations
 
 from .core import Params, interval_weight, step_m, support, weight, weight_exceeds
-from .inversion import ConfidenceTable, Method
+from .inversion import ConfidenceTable, Method, _inverse
 
 
 def _upper_tail_weight(M: int, x: int, p: Params) -> int:
@@ -69,10 +70,9 @@ def pivot_ci(x: int, p: Params, alpha1=None, alpha2=None) -> tuple:
 def pivot_table(p: Params) -> ConfidenceTable:
     """Equal-tail table for every x, via one sweep of per-M tail quantiles.
 
-    For each M the sweep finds the smallest x with P_M(X <= x) > alpha/2;
-    those thresholds are nondecreasing in M, and merging them against x
-    yields U(x) = max{M : threshold(M) <= x} and, by the M -> N-M
-    reflection, L(x) = N - U(n-x). Rows agree with pivot_ci at every x.
+    For each M the sweep finds t(M), the smallest x with P_M(X <= x) >
+    alpha/2, and ``_inverse`` inverts the family [t(M), n - t(N - M)]:
+    U(x) = max{M : t(M) <= x}, L(x) = N - U(n - x). Rows agree with pivot_ci.
 
     The sweep carries (x, w_M(x), W_M(X <= x)) from M to M+1: ``step_m``
     moves the weight and the interval-mass identity moves the tail, then x
@@ -111,12 +111,8 @@ def pivot_table(p: Params) -> ConfidenceTable:
         thresholds.append(x)
     if w != weight(N, x, p) or tail != interval_weight(N, 0, x, p):
         raise AssertionError("carried pivot weights drifted; corrupt kernels")
-
-    upper = [0] * (n + 1)
-    m = 0
-    for x in range(n + 1):
-        while m < N and thresholds[m + 1] <= x:
-            m += 1
-        upper[x] = m
-    lower = [N - upper[n - x] for x in range(n + 1)]
-    return ConfidenceTable(p, Method.PIVOT, tuple(lower), tuple(upper))
+    try:
+        rows = _inverse(p, thresholds, [n - t for t in reversed(thresholds)])
+        return ConfidenceTable(p, Method.PIVOT, *rows)
+    except ValueError as e:  # p is valid, so a failed self-check is a program fault
+        raise AssertionError(f"pivot table self-check failed: {e}") from e

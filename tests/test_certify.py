@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hyperci import Params, certify
-from hyperci.acceptance import AcceptanceFamily, _greedy_sweep
+from hyperci.acceptance import _greedy_sweep
 from hyperci.monotonize import _shift
 from hyperci.certify import (
     CertificationReport,
@@ -91,20 +91,40 @@ class TestFamilyLevel:
     # level at alpha = 9/10 and with mirrored lengths, but the first family
     # breaks reflection (A(3) = [1, 1], not n - A(1) = [2, 2]) and the second
     # monotone endpoints (A(1) = [1, 1], then A(2) = [0, 2]); the build
-    # returns it in place of the family it inverted
-    @pytest.mark.parametrize("lower, upper", [((0, 0, 1, 1, 2), (0, 0, 1, 1, 2)),
-                                              ((0, 1, 0, 1, 2), (0, 1, 2, 1, 2))])
+    # returns its lists in place of those it inverted
+    @pytest.mark.parametrize("lower, upper", [([0, 0, 1, 1, 2], [0, 0, 1, 1, 2]),
+                                              ([0, 1, 0, 1, 2], [0, 1, 2, 1, 2])])
     def test_flags_broken_symmetrized_family(self, monkeypatch, lower, upper):
         p = Params(4, 2, Fraction(9, 10))
-        tbl, _, up, down, centre = certify._build(p)
-        broken = AcceptanceFamily(p, lower, upper)
-        monkeypatch.setattr(certify, "_build", lambda p: (tbl, broken, up, down, centre))
+        tbl, _, _, up, down, centre = certify._build(p)
+        monkeypatch.setattr(certify, "_build", lambda p: (tbl, lower, upper, up, down, centre))
         monkeypatch.setattr(certify, "PIVOT_CAP", 0)
         monkeypatch.setattr(certify, "SUBSET_CAP", 0)
         t = certify.Tallies()
         certify.check_instance(t, p.N, p.n, p.alpha)
         assert t["family-level"].failures
         assert not t["shift-level-preserved"].failures
+
+
+class TestShiftDisjointSets:
+    # certify derives both offender sets from the greedy half by their
+    # definition, so a build that reports a shift the half does not have
+    # fails the tally: a drop at M = 9 (only the drops then differ), a raise
+    # at M = 10 (only the raises), or both at M = 10
+    @pytest.mark.parametrize("extra_up, extra_down",
+                             [({}, {9: 1}), ({10: 1}, {}), ({10: 1}, {10: 1})])
+    def test_misreported_shift_fails(self, monkeypatch, extra_up, extra_down):
+        p = Params(40, 13, Fraction(1, 5))
+        tbl, lower, upper, up, down, centre = certify._build(p)
+        assert not up and not down
+        monkeypatch.setattr(certify, "_build", lambda p: (
+            tbl, lower, upper, {**up, **extra_up}, {**down, **extra_down}, centre))
+        monkeypatch.setattr(certify, "PIVOT_CAP", 0)
+        monkeypatch.setattr(certify, "SUBSET_CAP", 0)
+        t = certify.Tallies()
+        certify.check_instance(t, p.N, p.n, p.alpha)
+        text = CertificationReport(checks=list(t.values()), grid="(40, 13, 1/5)").render()
+        assert "FAIL shift-disjoint-sets" in text
 
 
 # half families that raise an interval; the default grid (N <= 40) moves none

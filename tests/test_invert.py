@@ -21,7 +21,7 @@ from hyperci import (
     table_to_csv,
     total_size_diff,
 )
-from hyperci.acceptance import AcceptanceFamily
+from hyperci.acceptance import AcceptanceFamily, _mirror
 from hyperci.core import lower_quantile
 from hyperci.monotonize import _shift, center_interval
 
@@ -57,6 +57,12 @@ class TestInvert:
         p = Params(4, 2, 0.9)
         fam = AcceptanceFamily(p, (0, 1, 0, 1, 2), (0, 1, 2, 2, 2))
         with pytest.raises(ValueError, match="nondecreasing"):
+            invert(fam)
+
+    # the lower endpoints are monotone here, only the upper ones fall at M = 2
+    def test_non_monotone_upper_endpoints_rejected(self):
+        fam = AcceptanceFamily(Params(4, 2, 0.9), (0, 0, 1, 1, 2), (0, 1, 2, 1, 2))
+        with pytest.raises(ValueError, match="not nondecreasing at M=2"):
             invert(fam)
 
     def test_asymmetric_family_rejected(self):
@@ -117,6 +123,46 @@ class TestCstarComposition:
 
         monkeypatch.setattr("hyperci.inversion._shift", widened)
         with pytest.raises(AssertionError, match="not nondecreasing at M=5"):
+            cstar_table(Params(40, 13, 0.2))
+        code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    # the support is checked on the half the build computed: A(0) = [0, 1]
+    # keeps the order but leaves {0}, and the table alone would not show it
+    # (its mirror A(N) = [n - 1, n] keeps the rows symmetric)
+    def test_interval_outside_support_is_an_internal_fault(self, monkeypatch, capsys):
+        from hyperci.cli import main
+
+        def widened(lower, upper):
+            shifts = _shift(lower, upper)
+            upper[0] = 1
+            return shifts
+
+        monkeypatch.setattr("hyperci.inversion._shift", widened)
+        with pytest.raises(AssertionError, match="at M=0 leaves the support"):
+            cstar_table(Params(40, 13, 0.2))
+        code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    # the mirrored half is not checked again: a mirror fault that changes a
+    # row breaks the table's reflection. Here the first mirrored lower
+    # endpoint above its predecessor drops by one, which keeps the order
+    def test_lowered_mirrored_endpoint_is_an_internal_fault(self, monkeypatch, capsys):
+        from hyperci.cli import main
+
+        def lowered(p, lower, upper):
+            full_lower, full_upper = _mirror(p, lower, upper)
+            M = next(M for M in range(p.N // 2 + 1, p.N + 1)
+                     if full_lower[M - 1] < full_lower[M])
+            full_lower[M] -= 1
+            return full_lower, full_upper
+
+        monkeypatch.setattr("hyperci.inversion._mirror", lowered)
+        with pytest.raises(AssertionError, match="symmetry broken"):
             cstar_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
         out, err = capsys.readouterr()

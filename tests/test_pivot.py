@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperci import Params, pivot_ci, pivot_table
+from hyperci import Params, acceptance_of, pivot_ci, pivot_table
 from hyperci.core import lower_quantile
 from hyperci.oracle import pivot_scan
 from hyperci.pivot import _lower_tail_weight, _upper_tail_weight
@@ -109,6 +109,37 @@ class TestPivotSweep:
         monkeypatch.setattr(pivot, "step_m", lambda w, M, x, p: step(w, M, x, p) * 1001 // 1000)
         with pytest.raises(AssertionError, match="corrupt kernels"):
             pivot_table(Params(N, n, alpha))
+
+
+class TestPivotInversion:
+    # the table inverts the equal-tail acceptance intervals
+    # A(M) = [t(M), n - t(N - M)], t(M) the smallest x with P_M(X <= x) > alpha/2
+    def test_dual_is_equal_tail_family(self):
+        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1)
+                 for a in (Fraction(1, 20), 0.1, Fraction(3, 5))]
+        cases += [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05),
+                  (2000, 1000, 0.05), (5000, 1000, 0.05)]
+        for N, n, alpha in cases:
+            p = Params(N, n, alpha)
+            t = [lower_quantile(M, p.alpha / 2, p) for M in range(N + 1)]
+            dual = acceptance_of(pivot_table(p))
+            assert dual.lower == tuple(t), (N, n, alpha)
+            assert dual.upper == tuple(n - t[N - M] for M in range(N + 1)), (N, n, alpha)
+
+    # p is valid, so a failed check in the inversion is a program fault
+    def test_failed_inversion_is_an_internal_fault(self, monkeypatch, capsys):
+        from hyperci.cli import main
+
+        def broken(p, lower, upper):
+            raise ValueError("patched inversion")
+
+        monkeypatch.setattr("hyperci.pivot._inverse", broken)
+        with pytest.raises(AssertionError, match="patched inversion"):
+            pivot_table(Params(40, 13, 0.2))
+        code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2", "--method", "pivot"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 class TestTailMonotonicity:
