@@ -10,11 +10,10 @@ to ``C(N,n)`` over the support for every M:
 * probabilities (``pmf``, ``interval_prob``) sum weights exactly and round
   once at the final division, so a reported value is the correctly rounded
   double of the true rational (a full-support sum is exactly 1.0);
-* threshold decisions (``attains_level``, ``weight_exceeds``,
-  ``lower_quantile``) compare integer weight sums against the exact integer
-  ratio of alpha, never a rounded double; pass alpha as a
-  ``fractions.Fraction`` for an exact rational level, or as a float to use
-  that double's exact binary value;
+* threshold decisions (``attains_level``, ``lower_quantile``) compare
+  integer weight sums against the exact integer ratio of alpha, never a
+  rounded double; pass alpha as a ``fractions.Fraction`` for an exact
+  rational level, or as a float to use that double's exact binary value;
 * stages that need one quantity for every M sweep M upward and carry it:
   ``step_m`` moves a weight from (M, x) to (M+1, x), and the interval-mass
   identity (N-M)(W_{M+1}[a,b] - W_M[a,b]) = (n-a+1) w_M(a-1) - (n-b) w_M(b)
@@ -204,9 +203,3 @@ def attains_level(weight_sum: int, p: Params) -> bool:
     """Exact test of weight_sum / C(N,n) >= 1 - alpha."""
     num, den = p._alpha_ratio
     return weight_sum * den >= (den - num) * p.total_weight
-
-
-def weight_exceeds(weight_sum: int, threshold: AlphaLike, p: Params) -> bool:
-    """Exact test of weight_sum / C(N,n) > threshold."""
-    num, den = threshold.as_integer_ratio()
-    return weight_sum * den > num * p.total_weight

@@ -69,7 +69,11 @@ def invert(fam: AcceptanceFamily, method: Method = Method.CSTAR) -> ConfidenceTa
 
 
 def _inverse(p: Params, a, b) -> tuple:
-    """Endpoint tuples (L, U) inverting the family [a[M], b[M]], M = 0..N."""
+    """Endpoint tuples (L, U) inverting the family [a[M], b[M]], M = 0..N.
+
+    An x that no interval contains gets L(x) > U(x); every caller builds a
+    ``ConfidenceTable`` from the rows, which rejects such a row.
+    """
     N, n = p.N, p.n
     if len(a) != N + 1 or len(b) != N + 1:
         raise ValueError("family must cover M = 0..N")
@@ -84,8 +88,6 @@ def _inverse(p: Params, a, b) -> tuple:
             m_low += 1
         while m_high < N and a[m_high + 1] <= x:
             m_high += 1
-        if m_low > N or m_low > m_high:
-            raise ValueError(f"no acceptance interval contains x={x}")
         lower[x] = m_low
         upper[x] = m_high
     return tuple(lower), tuple(upper)

@@ -277,7 +277,7 @@ def pivot_scan(p: Params) -> list:
     L(x) is the first M whose upper tail P_M(X >= x) exceeds alpha/2 and
     U(x) the last whose lower tail P_M(X <= x) does. The tails are window
     masses of one prefix row per M, built once for every x, so this checks
-    both ``pivot_ci``'s searches and its tail kernels.
+    ``pivot_ci``'s bisection, its tail kernel and its reflection for L.
     """
     _check_cap(p)
     num, den = (p.alpha / 2).as_integer_ratio()

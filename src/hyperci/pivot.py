@@ -1,70 +1,47 @@
 """Baseline confidence intervals by pivoting the c.d.f.
 
-L(x) is the smallest M whose upper tail P_M(X >= x) exceeds alpha1, U(x)
-the largest M whose lower tail P_M(X <= x) exceeds alpha2. Both tails are
-monotone in M, so single intervals can use binary search; a full table
-is the inversion of the equal-tail acceptance intervals, by the sweep
-``invert`` runs. All tail comparisons are exact integer tests against the
-threshold's integer ratio.
+The pivotal interval is equal-tailed. U(x) is the largest M with
+P_M(X <= x) > alpha/2, one bisection since that tail is nonincreasing in
+M; L(x) = N - U(n - x) by the pmf reflection w(M, x) = w(N - M, n - x).
+A full table inverts the equal-tail acceptance intervals by the sweep
+``invert`` runs. Tail comparisons are exact integer tests against
+alpha/2's integer ratio.
 """
 
 from __future__ import annotations
 
-from .core import Params, interval_weight, step_m, support, weight, weight_exceeds
+from .core import Params, interval_weight, step_m, support, weight
 from .inversion import ConfidenceTable, Method, _inverse
 
 
-def _upper_tail_weight(M: int, x: int, p: Params) -> int:
-    """Integer numerator of P_M(X >= x), summed from the cheaper end."""
-    lo, hi = support(M, p)
-    if x - lo <= hi - x + 1:
-        return p.total_weight - interval_weight(M, lo, x - 1, p)
-    return interval_weight(M, x, hi, p)
-
-
 def _lower_tail_weight(M: int, x: int, p: Params) -> int:
-    """Integer numerator of P_M(X <= x)."""
-    return p.total_weight - _upper_tail_weight(M, x + 1, p)
+    """Integer numerator of P_M(X <= x), summed from the cheaper end."""
+    lo, hi = support(M, p)
+    if x - lo < hi - x:
+        return interval_weight(M, lo, x, p)
+    return p.total_weight - interval_weight(M, x + 1, hi, p)
 
 
-def pivot_ci(x: int, p: Params, alpha1=None, alpha2=None) -> tuple:
-    """Interval [L, U] for one observation; defaults to equal tails alpha/2."""
-    if not 0 <= x <= p.n:
-        raise ValueError(f"x must be in [0, {p.n}], got {x}")
-    if alpha1 is None and alpha2 is None:
-        alpha1 = alpha2 = p.alpha / 2
-    if alpha1 is None or alpha2 is None or alpha1 < 0 or alpha2 < 0:
-        raise ValueError("alpha1 and alpha2 must both be given and nonnegative")
-    if alpha1 + alpha2 != p.alpha:
-        raise ValueError(
-            f"alpha1 + alpha2 = {alpha1 + alpha2} must equal alpha = {p.alpha}"
-        )
-
-    def upper_tail_exceeds(M):
-        return weight_exceeds(_upper_tail_weight(M, x, p), alpha1, p)
-
-    def lower_tail_exceeds(M):
-        return weight_exceeds(_lower_tail_weight(M, x, p), alpha2, p)
-
-    # P_M(X >= x) is nondecreasing in M and reaches 1 at M = N
-    lo, hi = 0, p.N
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if upper_tail_exceeds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    lower = lo
-
+def _upper_end(x: int, p: Params) -> int:
+    """U(x), the largest M with P_M(X <= x) > alpha/2, by bisection over M."""
+    num, den = (p.alpha / 2).as_integer_ratio()
+    bar = num * p.total_weight  # the tail weight must exceed bar / den
     # P_M(X <= x) is nonincreasing in M and equals 1 at M = 0
     lo, hi = 0, p.N
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if lower_tail_exceeds(mid):
+        if _lower_tail_weight(mid, x, p) * den > bar:
             lo = mid
         else:
             hi = mid - 1
-    return (lower, lo)
+    return lo
+
+
+def pivot_ci(x: int, p: Params) -> tuple:
+    """Equal-tail interval [L, U] for one observation x."""
+    if not 0 <= x <= p.n:
+        raise ValueError(f"x must be in [0, {p.n}], got {x}")
+    return (p.N - _upper_end(p.n - x, p), _upper_end(x, p))
 
 
 def pivot_table(p: Params) -> ConfidenceTable:

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperci import Params, acceptance_of, pivot_ci, pivot_table
-from hyperci.core import lower_quantile
+from hyperci.core import interval_weight, lower_quantile
 from hyperci.oracle import pivot_scan
-from hyperci.pivot import _lower_tail_weight, _upper_tail_weight
+from hyperci.pivot import _lower_tail_weight
 
 from reference_tables import COMPETITOR_L, COMPETITOR_U
 
@@ -23,27 +23,6 @@ class TestPivotCi:
     def test_upper_bound_population_at_x_n(self):
         for N, n, alpha in [(20, 6, 0.6), (500, 100, 0.05)]:
             assert pivot_ci(n, Params(N, n, alpha))[1] == N
-
-    def test_unequal_tails_must_sum_to_alpha(self, p500):
-        with pytest.raises(ValueError, match="alpha"):
-            pivot_ci(13, p500, alpha1=0.02, alpha2=0.04)
-
-    def test_explicit_equal_tails_match_default(self, p500):
-        assert pivot_ci(13, p500, alpha1=0.025, alpha2=0.025) == pivot_ci(13, p500)
-
-    def test_unequal_tail_split(self):
-        p = Params(60, 20, 0.1)
-        lo_skewed, _ = pivot_ci(7, p, alpha1=0.1 - 0.0125, alpha2=0.0125)
-        lo_even, _ = pivot_ci(7, p)
-        assert lo_skewed >= lo_even  # larger alpha1 can only raise L
-
-    def test_one_sided_splits(self):
-        p = Params(60, 20, 0.1)
-        for x in (0, 3, 11, 20):
-            low, _ = pivot_ci(x, p, alpha1=0.0, alpha2=p.alpha)
-            assert low == x  # smallest M whose support reaches x
-            _, high = pivot_ci(x, p, alpha1=p.alpha, alpha2=0.0)
-            assert high == 40 + x  # largest M that can still produce x
 
     def test_x_out_of_range(self, p500):
         with pytest.raises(ValueError):
@@ -67,6 +46,19 @@ class TestPivotTable:
         tbl = pivot_table(p)
         for x in range(18):
             assert pivot_ci(x, p) == tbl.interval(x)
+
+    # the seed-0 ``ladder`` and ``wide`` instances of the benchmark; every x
+    # where n <= 300, else every (n // 40)-th x and x = n
+    @pytest.mark.parametrize("N, n, alpha", [
+        (500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
+        (5000, 1000, 0.05), (100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05),
+    ])
+    def test_rows_match_single_interval_queries_large_n(self, N, n, alpha):
+        p = Params(N, n, alpha)
+        tbl = pivot_table(p)
+        xs = range(n + 1) if n <= 300 else [*range(0, n, n // 40), n]
+        for x in xs:
+            assert pivot_ci(x, p) == tbl.interval(x), x
 
     def test_fraction_alpha(self):
         p = Params(45, 17, Fraction(1, 10))
@@ -148,19 +140,21 @@ class TestTailMonotonicity:
             for n in (1, N // 2 + 1, N):
                 p = Params(N, n, 0.1)
                 for x in range(n + 1):
-                    ups = [_upper_tail_weight(M, x, p) for M in range(N + 1)]
+                    # P_M(X >= x) = 1 - P_M(X <= x - 1), which is 1 at x = 0
+                    ups = [p.total_weight - (_lower_tail_weight(M, x - 1, p) if x else 0)
+                           for M in range(N + 1)]
                     lows = [_lower_tail_weight(M, x, p) for M in range(N + 1)]
                     assert ups == sorted(ups)
                     assert lows == sorted(lows, reverse=True)
 
-    def test_tail_weights_complement(self):
-        p = Params(23, 9, 0.1)
-        for M in range(24):
-            for x in range(10):
-                assert (
-                    _upper_tail_weight(M, x, p) + _lower_tail_weight(M, x - 1, p)
-                    == p.total_weight
-                )
+    # each instance sums from both ends: the lower window is the shorter one
+    # for small x and the longer one for large x
+    @pytest.mark.parametrize("N, n", [(23, 9), (40, 40), (30, 1)])
+    def test_lower_tail_weight_is_prefix_mass(self, N, n):
+        p = Params(N, n, 0.1)
+        for M in range(N + 1):
+            for x in range(n + 1):
+                assert _lower_tail_weight(M, x, p) == interval_weight(M, 0, x, p), (M, x)
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,6 +162,7 @@ class TestTailMonotonicity:
 def test_binary_search_matches_linear_scan(data):
     N = data.draw(st.integers(1, 40))
     n = data.draw(st.integers(1, N))
-    alpha = data.draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.6]))
+    alpha = data.draw(st.sampled_from(
+        [0.01, 0.05, 0.1, 0.3, 0.6, Fraction(1, 20), Fraction(3, 5)]))
     p = Params(N, n, alpha)
     assert [pivot_ci(x, p) for x in range(n + 1)] == pivot_scan(p)
