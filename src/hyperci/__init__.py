@@ -9,7 +9,7 @@ symmetrizing; a pivotal-cdf baseline, coverage analysis, and an
 exact-rational certification oracle round out the toolkit.
 """
 
-from .acceptance import AcceptanceFamily, amo_half, reflect_full
+from .acceptance import AcceptanceFamily, amo_half
 from .certify import CertificationReport, run_certification
 from .core import (
     Params,
@@ -64,7 +64,6 @@ __all__ = [
     "pivot_ci",
     "pivot_table",
     "pmf",
-    "reflect_full",
     "run_certification",
     "support",
     "symmetrize",

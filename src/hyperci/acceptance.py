@@ -200,6 +200,8 @@ def _mirror(p: Params, lower, upper) -> tuple:
 
     M <= N/2 keeps the half's interval; M > N/2 takes the reflection
     a_M = n - b_{N-M}, b_M = n - a_{N-M}.
+    ``symmetrize``, ``inversion._build`` and certify's ``reflect-level``
+    check all reflect through it.
     """
     N, n = p.N, p.n
     k = N // 2
@@ -210,12 +212,3 @@ def _mirror(p: Params, lower, upper) -> tuple:
     full_upper = list(upper) + [n - a for a in reversed(lower[:below])]
     return full_lower, full_upper
 
-
-def reflect_full(half: AcceptanceFamily) -> AcceptanceFamily:
-    """Extend a half-family to M = 0..N via a_{N-M} = n - b_M, b_{N-M} = n - a_M.
-
-    For even N the index N/2 reflects onto itself; the half-family's own
-    entry is kept (the symmetrizing step replaces it anyway).
-    """
-    lower, upper = _mirror(half.params, half.lower, half.upper)
-    return AcceptanceFamily(half.params, tuple(lower), tuple(upper))

@@ -2,9 +2,9 @@
 
 Builds each C* table of a small grid of (N, n, alpha) instances once, with
 alpha as an exact rational, and checks the table that ``cstar_table`` ships
-and the evidence its build returns (the family it inverted, the shifts, the
-centre's input) against the oracle module's naive searches; the greedy half
-is that family's lower half with the recorded shifts undone. It also
+and the evidence its build returns (the family it inverted, the shift
+trace, the centre's input) against the oracle module's naive searches; the
+greedy half is that family's lower half with the traced shifts undone. It also
 verifies the supporting distribution properties exhaustively in integer
 arithmetic. Produces a text report with one line per check and instance
 counts.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .acceptance import AcceptanceFamily, reflect_full
+from .acceptance import AcceptanceFamily, _mirror
 from .core import Params, mode, support
 from .inversion import _build, acceptance_of, coverage, invert
 from .pivot import pivot_ci, pivot_table
@@ -122,7 +122,8 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
             if oracle.window_mass(rows[M], a, b) < bar
         ]
 
-    tbl, lower, upper, up, down, (a_k, b_k) = _build(p)
+    tbl, lower, upper, trace, (a_k, b_k) = _build(p)
+    up, down = trace.set_lower, trace.set_upper
     fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
     ptbl = pivot_table(p)
     # the shifted half M = 0..N//2 (its centre before the even-N centre
@@ -161,7 +162,7 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     )
     t.hit("raw-structure", 1, None if ok else f"{tag} raw family structure broken")
 
-    # shift bookkeeping: the build's shifts must be the greedy half's offenders,
+    # shift bookkeeping: the trace's shifts must be the greedy half's offenders,
     # raise(M) = max(a_0..a_M) - a_M and drop(M) = b_M - min(b_M..b_k) where positive
     a, b = half.lower, half.upper
     raises = {M: d for M in range(k + 1) if (d := max(a[:M + 1]) - a[M]) > 0}
@@ -200,8 +201,8 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     t.hit("family-level", 1,
           None if ok else f"{tag} symmetrized reflection/order/level/length {bad[:3]}")
 
-    refl = reflect_full(half)
-    bad = below_level(refl)
+    # the greedy half reflected onto M = 0..N, unshifted
+    bad = below_level(AcceptanceFamily(p, *_mirror(p, half.lower, half.upper)))
     t.hit("reflect-level", 1, None if not bad else f"{tag} M={bad[:3]}")
 
     # inversion: the dual read back from the table equals the family the

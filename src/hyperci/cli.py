@@ -24,10 +24,9 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from .acceptance import interval_masses
 from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
-from .inversion import ConfidenceTable, acceptance_of, cstar_table, table_to_csv
+from .inversion import ConfidenceTable, _half_coverage, cstar_table, table_to_csv
 from .pivot import pivot_table
 
 
@@ -106,10 +105,7 @@ def cmd_coverage(args) -> int:
         [f"# hyperci coverage N={p.N} n={p.n} alpha={p.alpha} method={args.method}"],
         ["M", "coverage"],
     ]
-    half = tbl._coverage  # M = 0..N/2; coverage(N - M) = coverage(M)
-    if half is None:
-        dual, k = acceptance_of(tbl), p.N // 2 + 1
-        half = [m / p.total_weight for m in interval_masses(p, dual.lower[:k], dual.upper[:k])]
+    half = _half_coverage(tbl)  # M = 0..N/2; coverage(N - M) = coverage(M)
     for M in range(p.N + 1):
         lines.append([str(M), f"{half[min(M, p.N - M)]:.12f}"])
     _emit(args, lines)

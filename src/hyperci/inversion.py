@@ -8,7 +8,8 @@ C(x) = {M : x in A(M)}; with nondecreasing endpoints it is an interval
 ``cstar_table`` is ``_build(p)[0]``; ``_build``'s docstring lists where it
 checks each invariant. Its level masses over C(N, n) are the coverage at
 M = 0..N/2 (``invert(fam)`` has dual ``fam``; coverage(N - M) =
-coverage(M)), so the table keeps them; other tables are summed per M.
+coverage(M)), so the table keeps them; other tables are summed per M, or
+over the half in one sweep of their dual (``_half_coverage``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror
+from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror, interval_masses
 from .core import Params, attains_level, interval_prob, interval_weight
 from .monotonize import _shift, center_interval
 
@@ -107,6 +108,18 @@ def coverage(tbl: ConfidenceTable, M: int) -> float:
     return interval_prob(M, x_lo, x_hi, p)
 
 
+def _half_coverage(tbl: ConfidenceTable) -> tuple:
+    """coverage(tbl, M) at M = 0..N/2; tables are symmetric, so coverage(N - M) = coverage(M).
+
+    A C* table's stored values, else one carried sweep of the dual's half.
+    """
+    if tbl._coverage is not None:
+        return tbl._coverage
+    p, k = tbl.params, tbl.params.N // 2 + 1
+    dual = acceptance_of(tbl)
+    return tuple(m / p.total_weight for m in interval_masses(p, dual.lower[:k], dual.upper[:k]))
+
+
 def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
     """a.total_size - b.total_size; tables must share one problem instance."""
     if a.params != b.params:
@@ -120,9 +133,11 @@ def cstar_table(p: Params) -> ConfidenceTable:
 
 
 def _build(p: Params) -> tuple:
-    """(table, lower, upper, {M: raise}, {M: drop}, A(N//2) before the centre).
+    """(table, lower, upper, trace, A(N//2) before the centre).
 
-    lower and upper are the family over M = 0..N that the table inverts.
+    lower and upper are the family over M = 0..N that the table inverts;
+    trace is ``_shift``'s ``AdjustmentTrace``, the same record that
+    ``adjust(amo_half(p))`` returns.
     Each of its invariants is checked once: the level at M = 0..N/2, by the
     greedy's exit test where an interval is the greedy's, else by an exact
     sum (the few the shift or the even-N centre moved); the support there,
@@ -134,7 +149,7 @@ def _build(p: Params) -> tuple:
     try:
         greedy_lower, greedy_upper, cov = _greedy_sweep(p)
         lower, upper = list(greedy_lower), list(greedy_upper)
-        up, down = _shift(lower, upper)
+        trace = _shift(lower, upper)
         k = p.N // 2
         pre_centre = (lower[k], upper[k])
         if p.N % 2 == 0:
@@ -152,7 +167,7 @@ def _build(p: Params) -> tuple:
         lower, upper = _mirror(p, lower, upper)
         tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(p, lower, upper))
         object.__setattr__(tbl, "_coverage", tuple(cov))
-        return tbl, lower, upper, up, down, pre_centre
+        return tbl, lower, upper, trace, pre_centre
     except ValueError as e:  # p is valid, so a failed self-check is a program fault
         raise AssertionError(f"C* pipeline self-check failed: {e}") from e
 

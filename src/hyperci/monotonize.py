@@ -11,15 +11,15 @@ and, for even N, replaces the middle entry by the shortest interval
 [h, n-h] symmetric about n/2 that still holds 1 - alpha mass.
 
 ``adjust`` and ``symmetrize`` wrap the list helpers that ``cstar_table``
-runs (``inversion._build`` says where that path checks each invariant);
-``_shift`` works in place and returns only its shifts, and ``adjust`` builds
-the trace and keeps its level and monotonicity checks for outside families.
+runs (``inversion._build`` says where that path checks each invariant).
+``_shift`` works in place and returns the one record of what it moved, an
+``AdjustmentTrace``; ``_build`` and ``adjust`` both hand it on, and
+``adjust`` keeps its level and monotonicity checks for outside families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .acceptance import AcceptanceFamily, _mirror
 from .core import DRIFTED, Params, attains_level, interval_weight, lower_quantile
@@ -27,26 +27,20 @@ from .core import DRIFTED, Params, attains_level, interval_weight, lower_quantil
 
 @dataclass(frozen=True)
 class AdjustmentTrace:
-    """Bookkeeping of the monotonizing shifts.
+    """The monotonizing shifts: set_lower maps each raised M to its raise,
+    set_upper each dropped M to its drop.
 
-    running_max_lower[M] = max of raw lowers up to M, running_min_upper[M] =
-    min of raw uppers from M on; set_lower/set_upper hold the shifted
-    indices; delta[M] is the (nonnegative) shift applied at M.
+    On endpoints a, b over M = 0..k, raise(M) = max(a_0..a_M) - a_M and
+    drop(M) = b_M - min(b_M..b_k), each kept where positive; the two key
+    sets are disjoint.
     """
 
-    running_max_lower: tuple
-    running_min_upper: tuple
-    set_lower: frozenset
-    set_upper: frozenset
-    delta: tuple
-
-    @property
-    def max_shift(self) -> int:
-        return max(self.delta) if self.delta else 0
+    set_lower: dict
+    set_upper: dict
 
 
-def _shift(lower, upper) -> tuple:
-    """Monotonize half endpoint lists in place; returns ({M: raise}, {M: drop})."""
+def _shift(lower, upper) -> AdjustmentTrace:
+    """Monotonize endpoint lists in place; returns the shifts it applied."""
     up, down = {}, {}
     top = lower[0]
     for M, a in enumerate(lower):
@@ -72,7 +66,7 @@ def _shift(lower, upper) -> tuple:
     for M, d in down.items():
         lower[M] -= d
         upper[M] -= d
-    return up, down
+    return AdjustmentTrace(up, down)
 
 
 def adjust(half: AcceptanceFamily) -> tuple:
@@ -92,20 +86,13 @@ def adjust(half: AcceptanceFamily) -> tuple:
                 f"interval {half.interval(M)} has mass {mass}/{p.total_weight}"
             )
     new_a, new_b = list(half.lower), list(half.upper)
-    up, down = _shift(new_a, new_b)
+    trace = _shift(new_a, new_b)
     for M in range(len(half) - 1):
         if new_a[M] > new_a[M + 1] or new_b[M] > new_b[M + 1]:
             raise ValueError(
                 f"adjusted endpoints not monotone at M={M}; input intervals "
                 "were not minimum-cardinality probability maximizers"
             )
-    trace = AdjustmentTrace(
-        running_max_lower=tuple(accumulate(half.lower, max)),
-        running_min_upper=tuple(accumulate(half.upper[::-1], min))[::-1],
-        set_lower=frozenset(up),
-        set_upper=frozenset(down),
-        delta=tuple(up.get(M, down.get(M, 0)) for M in range(len(half))),
-    )
     return AcceptanceFamily(p, tuple(new_a), tuple(new_b)), trace
 
 

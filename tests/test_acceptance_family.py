@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperci import Params, acceptance_of, adjust, amo_half, cstar_table, reflect_full, symmetrize
-from hyperci.acceptance import AcceptanceFamily
+from hyperci import Params, acceptance_of, adjust, amo_half, cstar_table, symmetrize
+from hyperci.acceptance import AcceptanceFamily, _mirror
 from hyperci.core import attains_level, interval_weight, support, weight
 from hyperci.oracle import (
     exact_interval_prob,
@@ -24,6 +24,12 @@ def greedy_half(p):
 
 def intervals(fam):
     return [fam.interval(M) for M in range(len(fam))]
+
+
+def reflect_full(half):
+    """The half family reflected onto M = 0..N, through the one mirror ``_mirror``."""
+    lower, upper = _mirror(half.params, half.lower, half.upper)
+    return AcceptanceFamily(half.params, tuple(lower), tuple(upper))
 
 
 def family_is_level(fam):

@@ -5,7 +5,7 @@ import pytest
 
 from hyperci import Params, certify
 from hyperci.acceptance import _greedy_sweep
-from hyperci.monotonize import _shift
+from hyperci.monotonize import AdjustmentTrace, _shift
 from hyperci.certify import (
     CertificationReport,
     Tally,
@@ -96,8 +96,8 @@ class TestFamilyLevel:
                                               ([0, 1, 0, 1, 2], [0, 1, 2, 1, 2])])
     def test_flags_broken_symmetrized_family(self, monkeypatch, lower, upper):
         p = Params(4, 2, Fraction(9, 10))
-        tbl, _, _, up, down, centre = certify._build(p)
-        monkeypatch.setattr(certify, "_build", lambda p: (tbl, lower, upper, up, down, centre))
+        tbl, _, _, trace, centre = certify._build(p)
+        monkeypatch.setattr(certify, "_build", lambda p: (tbl, lower, upper, trace, centre))
         monkeypatch.setattr(certify, "PIVOT_CAP", 0)
         monkeypatch.setattr(certify, "SUBSET_CAP", 0)
         t = certify.Tallies()
@@ -108,17 +108,18 @@ class TestFamilyLevel:
 
 class TestShiftDisjointSets:
     # certify derives both offender sets from the greedy half by their
-    # definition, so a build that reports a shift the half does not have
+    # definition, so a trace that reports a shift the half does not have
     # fails the tally: a drop at M = 9 (only the drops then differ), a raise
     # at M = 10 (only the raises), or both at M = 10
     @pytest.mark.parametrize("extra_up, extra_down",
                              [({}, {9: 1}), ({10: 1}, {}), ({10: 1}, {10: 1})])
     def test_misreported_shift_fails(self, monkeypatch, extra_up, extra_down):
         p = Params(40, 13, Fraction(1, 5))
-        tbl, lower, upper, up, down, centre = certify._build(p)
-        assert not up and not down
-        monkeypatch.setattr(certify, "_build", lambda p: (
-            tbl, lower, upper, {**up, **extra_up}, {**down, **extra_down}, centre))
+        tbl, lower, upper, trace, centre = certify._build(p)
+        assert trace == AdjustmentTrace({}, {})
+        misreported = AdjustmentTrace({**trace.set_lower, **extra_up},
+                                      {**trace.set_upper, **extra_down})
+        monkeypatch.setattr(certify, "_build", lambda p: (tbl, lower, upper, misreported, centre))
         monkeypatch.setattr(certify, "PIVOT_CAP", 0)
         monkeypatch.setattr(certify, "SUBSET_CAP", 0)
         t = certify.Tallies()

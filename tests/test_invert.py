@@ -22,8 +22,12 @@ from hyperci import (
     total_size_diff,
 )
 from hyperci.acceptance import AcceptanceFamily, _mirror
+from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import lower_quantile
+from hyperci.inversion import _build
 from hyperci.monotonize import _shift, center_interval
+
+from test_certify import SHIFT_CORPUS
 
 
 def pipeline(N, n, alpha):
@@ -84,16 +88,23 @@ class TestInvert:
 
 
 class TestCstarComposition:
-    # cstar_table runs the stages on endpoint lists; its tables must equal the
-    # public stages composed, over the certify grid and the benchmark ladder
+    # cstar_table runs the stages on endpoint lists; its tables and shift
+    # traces must equal the public stages composed, over the certify grid,
+    # the benchmark instances and the shift corpus, where intervals are raised
     def test_equals_public_stages_composed(self):
-        alphas = [Fraction(k, d) for k, d in [(1, 100), (1, 20), (1, 10), (1, 5), (3, 5)]]
-        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in alphas + [0.05]]
+        cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1)
+                 for a in DEFAULT_ALPHAS + (0.05,)]
         cases += [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
                   (5000, 1000, 0.05), (100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05)]
-        for N, n, alpha in cases:
+        raised = 0
+        for N, n, alpha in cases + SHIFT_CORPUS:
             p = Params(N, n, alpha)
-            assert cstar_table(p) == invert(symmetrize(adjust(amo_half(p))[0], p)), (N, n, alpha)
+            tbl, _, _, trace, _ = _build(p)
+            adjusted, adjust_trace = adjust(amo_half(p))
+            assert tbl == invert(symmetrize(adjusted, p)), (N, n, alpha)
+            assert trace == adjust_trace, (N, n, alpha)
+            raised += bool(trace.set_lower)
+        assert raised
 
     # a centre one point narrower on each side is below level; the level
     # sweep over the inverted family must catch it as a program fault
@@ -178,7 +189,7 @@ class TestCstarComposition:
         def slide(lower, upper):  # one unmoved interval one point right, still monotone
             shifts = _shift(lower, upper)
             for M in range(1, len(lower) - 2):
-                if M not in shifts[0] and M not in shifts[1] and \
+                if M not in shifts.set_lower and M not in shifts.set_upper and \
                         lower[M] < lower[M + 1] and upper[M] < upper[M + 1]:
                     lower[M] += 1
                     upper[M] += 1

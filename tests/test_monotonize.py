@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from hyperci import Params, adjust, amo_half, center_interval, reflect_full, symmetrize
+from hyperci import Params, adjust, amo_half, center_interval, symmetrize
 from hyperci.acceptance import AcceptanceFamily
 from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import attains_level, support
 from hyperci.oracle import greedy_interval, weight_table
 
-from test_acceptance_family import family_is_level
+from test_acceptance_family import family_is_level, reflect_full
 
 
 def exact_level_ok(fam, M):
@@ -25,15 +25,13 @@ class TestAdjust:
         adjusted, trace = adjust(half)
         assert adjusted.lower == half.lower and adjusted.upper == half.upper
         assert not trace.set_lower and not trace.set_upper
-        assert trace.max_shift == 0
 
     def test_up_shift_instance(self):
         # this instance needs a one-point up-shift at M=16
         half = amo_half(Params(100, 26, 0.01))
         adjusted, trace = adjust(half)
-        assert trace.set_lower == {16}
+        assert trace.set_lower == {16: 1}
         assert not trace.set_upper
-        assert trace.delta[16] == 1
         assert adjusted.lower[16] == half.lower[16] + 1
         assert adjusted.upper[16] == half.upper[16] + 1
 
@@ -52,27 +50,17 @@ class TestAdjust:
         for N, n, alpha in [(100, 26, 0.01), (150, 19, 0.1), (365, 33, 0.1)]:
             half = amo_half(Params(N, n, alpha))
             adjusted, trace = adjust(half)
-            assert trace.set_lower.isdisjoint(trace.set_upper)
+            assert trace.set_lower.keys().isdisjoint(trace.set_upper)
             for M in range(len(half)):
                 assert adjusted.length(M) == half.length(M)
                 assert exact_level_ok(adjusted, M)
 
     def test_disjoint_shift_sets_large_instance(self):
         _, trace = adjust(amo_half(Params(500, 100, 0.05)))
-        assert trace.set_lower.isdisjoint(trace.set_upper)
-        assert trace.max_shift == 1  # one observed one-point slide (M=16)
+        assert trace.set_lower.keys().isdisjoint(trace.set_upper)
+        assert trace.set_lower == {16: 1}  # one observed one-point slide
 
-    def test_running_extrema_recorded(self):
-        half = amo_half(Params(100, 26, 0.01))
-        _, trace = adjust(half)
-        assert list(trace.running_max_lower) == [
-            max(half.lower[: M + 1]) for M in range(len(half))
-        ]
-        assert list(trace.running_min_upper) == [
-            min(half.upper[M:]) for M in range(len(half))
-        ]
-
-    # every field against its definition, over certify's grid and the
+    # both mappings against their definition, over certify's grid and the
     # benchmark ladder, where the shift raises intervals; the ladder's full
     # mirrored families add the lowered ones
     def test_trace_matches_definition(self):
@@ -85,18 +73,11 @@ class TestAdjust:
         for half in families:
             _, trace = adjust(half)
             a, b, k = half.lower, half.upper, len(half)
-            run_max = tuple(max(a[: M + 1]) for M in range(k))
-            run_min = tuple(min(b[M:]) for M in range(k))
-            set_lower = {M for M in range(k) if a[M] < run_max[M]}
-            set_upper = {M for M in range(k) if b[M] > run_min[M]}
-            delta = tuple(run_max[M] - a[M] if M in set_lower else
-                          b[M] - run_min[M] if M in set_upper else 0 for M in range(k))
-            assert trace.running_max_lower == run_max, half.params
-            assert trace.running_min_upper == run_min, half.params
-            assert trace.set_lower == set_lower and trace.set_upper == set_upper, half.params
-            assert trace.delta == delta and trace.max_shift == max(delta), half.params
-            raised += len(set_lower)
-            lowered += len(set_upper)
+            raises = {M: d for M in range(k) if (d := max(a[: M + 1]) - a[M]) > 0}
+            drops = {M: d for M in range(k) if (d := b[M] - min(b[M:])) > 0}
+            assert trace.set_lower == raises and trace.set_upper == drops, half.params
+            raised += len(raises)
+            lowered += len(drops)
         assert raised and lowered
 
     def test_corrupt_input_diagnostic_names_m(self):
@@ -225,7 +206,7 @@ class TestSymmetrize:
         assert family_is_level(sym)
 
     def test_matches_reflect_full_away_from_center(self):
-        # both mirror through one helper; only the even-N centre differs
+        # both mirror through ``_mirror``; only the even-N centre differs
         for N in range(1, 41):
             for n in range(1, N + 1):
                 for alpha in DEFAULT_ALPHAS:
