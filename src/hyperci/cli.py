@@ -146,11 +146,12 @@ def cmd_certify(args) -> int:
 
 
 def _parse_int_list(text: str) -> list:
-    """Comma list ("10,20,30") or start:stop:step range ("10:490:10"), nonempty."""
+    """Comma list ("10,20,30") or range start:stop[:step] ("10:490:10"), nonempty."""
     if ":" in text:
         parts = [int(v) for v in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
+        start, stop, step = (parts + [1])[:3]
+        if len(parts) > 3 or step < 1:
+            raise ValueError(f"list {text!r} is not a range start:stop[:step] with step >= 1")
         values = list(range(start, stop + 1, step))
     else:
         values = [int(v) for v in text.split(",")]

@@ -3,17 +3,16 @@
 Everything is grounded in integer weights ``C(M,x)*C(N-M,n-x)``, which sum
 to ``C(N,n)`` over the support for every M:
 
-* exact window and tail masses come from two kernels: ``interval_weight``
-  (the integer weight sum over [a, b]) and ``lower_quantile`` (the
-  smallest x whose lower tail exceeds a threshold); both step through
-  only the points they need;
+* exact window masses come from one kernel, ``interval_weight`` (the
+  integer weight sum over [a, b]), which steps through only the points
+  it needs;
 * probabilities (``pmf``, ``interval_prob``) sum weights exactly and round
   once at the final division, so a reported value is the correctly rounded
   double of the true rational (a full-support sum is exactly 1.0);
-* threshold decisions (``attains_level``, ``lower_quantile``) compare
-  integer weight sums against the exact integer ratio of alpha, never a
-  rounded double; pass alpha as a ``fractions.Fraction`` for an exact
-  rational level, or as a float to use that double's exact binary value;
+* the level decision (``attains_level``) compares an integer weight sum
+  against the exact integer ratio of alpha, never a rounded double; pass
+  alpha as a ``fractions.Fraction`` for an exact rational level, or as a
+  float to use that double's exact binary value;
 * stages that need one quantity for every M sweep M upward and carry it:
   ``step_m`` moves a weight from (M, x) to (M+1, x), and the interval-mass
   identity (N-M)(W_{M+1}[a,b] - W_M[a,b]) = (n-a+1) w_M(a-1) - (n-b) w_M(b)
@@ -132,26 +131,6 @@ def interval_weight(M: int, a: int, b: int, p: Params) -> int:
         w = w * (M - x) * (n - x) // ((x + 1) * (s + x + 1))
         total += w
     return total
-
-
-def lower_quantile(M: int, threshold: AlphaLike, p: Params) -> int:
-    """Smallest x with P_M(X <= x) > threshold, for threshold < 1.
-
-    Steps up from the bottom of the support and stops at the answer; the
-    comparison is an exact integer test against threshold's integer ratio.
-    """
-    num, den = threshold.as_integer_ratio()
-    bar = num * p.total_weight  # the tail weight must exceed bar / den
-    lo, hi = support(M, p)
-    x = lo
-    w = cum = weight(M, lo, p)
-    while cum * den <= bar:
-        if x == hi:
-            raise ValueError(f"P_M(X <= x) never exceeds {threshold} at M={M}")
-        w = step_up(w, M, x, p)
-        x += 1
-        cum += w
-    return x
 
 
 def step_up(w: int, M: int, x: int, p: Params) -> int:

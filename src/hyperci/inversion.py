@@ -115,9 +115,10 @@ def _half_coverage(tbl: ConfidenceTable) -> tuple:
     """
     if tbl._coverage is not None:
         return tbl._coverage
-    p, k = tbl.params, tbl.params.N // 2 + 1
-    dual = acceptance_of(tbl)
-    return tuple(m / p.total_weight for m in interval_masses(p, dual.lower[:k], dual.upper[:k]))
+    p = tbl.params
+    lower, upper = _dual(tbl, p.N // 2 + 1)
+    _check_support(p, lower, upper)
+    return tuple(m / p.total_weight for m in interval_masses(p, lower, upper))
 
 
 def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
@@ -174,16 +175,20 @@ def _build(p: Params) -> tuple:
 
 def acceptance_of(tbl: ConfidenceTable) -> AcceptanceFamily:
     """Dual family A(M) = {x : M in C(x)}, an interval by monotonicity."""
-    p = tbl.params
+    return AcceptanceFamily(tbl.params, *_dual(tbl, tbl.params.N + 1))
+
+
+def _dual(tbl: ConfidenceTable, count: int) -> tuple:
+    """Dual endpoints (lower, upper) at M = 0..count-1, two bisections of the table per M."""
     lower, upper = [], []
-    for M in range(p.N + 1):
+    for M in range(count):
         x_lo = bisect_left(tbl.upper, M)
         x_hi = bisect_right(tbl.lower, M) - 1
         if x_lo > x_hi:
             raise ValueError(f"table accepts no x at M={M}")
         lower.append(x_lo)
         upper.append(x_hi)
-    return AcceptanceFamily(p, tuple(lower), tuple(upper))
+    return tuple(lower), tuple(upper)
 
 
 # -- CSV schema ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acceptance import AcceptanceFamily, _mirror
-from .core import DRIFTED, Params, attains_level, interval_weight, lower_quantile
+from .core import DRIFTED, Params, attains_level, interval_weight, weight
 
 
 @dataclass(frozen=True)
@@ -99,26 +99,22 @@ def adjust(half: AcceptanceFamily) -> tuple:
 def center_interval(p: Params, raw_center: tuple) -> tuple:
     """Shortest symmetric level-alpha interval [h, n-h] at M = N/2 (N even).
 
-    h = max{x in [0..n] : P_{N/2}(X < x) <= alpha/2}, which is the smallest
-    x with P_{N/2}(X <= x) > alpha/2, found by an exact lower-tail scan
-    that stops there. The shortcut
-    h = min(a_{N/2}, n - b_{N/2}) must agree whenever raw_center is a
-    minimum-cardinality interval of maximal mass, and is asserted as a
-    cross-check.
+    h = max{x in [0..n] : P_{N/2}(X < x) <= alpha/2} is min(a, n - b) for
+    raw_center [a, b], a minimum-cardinality interval of maximal mass, and
+    is proven by the level test alone: the pmf at N/2 is symmetric, so
+    [h, n-h] attains the level iff P(X < h) <= alpha/2, and [h+1, n-h-1]
+    (mass minus 2 w(h); empty if 2h >= n) misses it iff P(X <= h) > alpha/2.
     """
     if p.N % 2:
         raise ValueError(f"center interval needs even N, got N={p.N}")
-    h = lower_quantile(p.N // 2, p.alpha / 2, p)
-    if h > p.n // 2:
-        raise AssertionError(f"tail scan produced h={h} > n/2; corrupt kernels")
-    shortcut = min(raw_center[0], p.n - raw_center[1])
-    if h != shortcut:
-        raise ValueError(
-            f"center cross-check failed at N={p.N}, n={p.n}: tail scan gives "
-            f"h={h} but min(a, n-b)={shortcut}; raw center {raw_center} is "
-            "not a minimum-cardinality interval of maximal mass"
-        )
-    return (h, p.n - h)
+    k, n = p.N // 2, p.n
+    h = min(raw_center[0], n - raw_center[1])
+    mass = interval_weight(k, h, n - h, p)
+    inner = mass - 2 * weight(k, h, p) if 2 * h < n else 0
+    if not attains_level(mass, p) or attains_level(inner, p):
+        raise ValueError(f"center proof failed at N={p.N}, n={p.n}: [{h}, {n - h}] from raw "
+                         f"center {raw_center} is not the shortest symmetric level interval")
+    return (h, n - h)
 
 
 def symmetrize(adjusted_half: AcceptanceFamily, p: Params) -> AcceptanceFamily:

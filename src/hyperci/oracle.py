@@ -4,14 +4,14 @@ Everything here works on big-integer pmf numerators and compares against
 alpha as an explicit Fraction, never as a converted double, so "within
 level" and "larger probability" are unambiguous. The searches are
 deliberately naive (window scans, subset enumeration) and capped at
-N <= 200: they certify the fast pipeline, they do not replace it. The
-from-scratch greedy ``greedy_interval`` is the uncapped reference for the
-carried greedy sweep.
+N <= 200: they certify the fast pipeline, they do not replace it. Two
+uncapped references, the from-scratch greedy ``greedy_interval`` and the
+tail quantile ``lower_quantile``, check the carried sweeps and the centre.
 
 Window masses come from per-M prefix rows (``prefix_row``, ``window_mass``)
 built from the full weight table (``weight_table``), independently of the
-production kernels ``interval_weight`` and ``lower_quantile``, so
-verification checks those kernels rather than reusing them.
+production kernel ``interval_weight``, so verification checks that
+kernel rather than reusing it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Params, attains_level, mode, step_down, step_up, support, weight
+from .core import AlphaLike, Params, attains_level, mode, step_down, step_up, support, weight
 from .inversion import ConfidenceTable
 
 N_CAP = 200
@@ -100,6 +100,26 @@ def greedy_interval(p: Params, M: int) -> tuple:
             mass += w_left
             w_left = step_down(w_left, M, c, p)
     return (c, d)
+
+
+def lower_quantile(M: int, threshold: AlphaLike, p: Params) -> int:
+    """Smallest x with P_M(X <= x) > threshold, for threshold < 1.
+
+    Steps up from the bottom of the support and stops at the answer; the
+    comparison is an exact integer test against threshold's integer ratio.
+    """
+    num, den = threshold.as_integer_ratio()
+    bar = num * p.total_weight  # the tail weight must exceed bar / den
+    lo, hi = support(M, p)
+    x = lo
+    w = cum = weight(M, lo, p)
+    while cum * den <= bar:
+        if x == hi:
+            raise ValueError(f"P_M(X <= x) never exceeds {threshold} at M={M}")
+        w = step_up(w, M, x, p)
+        x += 1
+        cum += w
+    return x
 
 
 def min_level_interval(M: int, p: Params, alpha: Fraction) -> tuple:
@@ -280,7 +300,7 @@ def pivot_scan(p: Params) -> list:
     ``pivot_ci``'s bisection, its tail kernel and its reflection for L.
     """
     _check_cap(p)
-    num, den = (p.alpha / 2).as_integer_ratio()
+    num, den = (Fraction(p.alpha) / 2).as_integer_ratio()
     bar = num * p.total_weight  # a tail weight must exceed bar / den
     rows = [prefix_row(M, p) for M in range(p.N + 1)]
     out = []

@@ -4,8 +4,8 @@ The pivotal interval is equal-tailed. U(x) is the largest M with
 P_M(X <= x) > alpha/2, one bisection since that tail is nonincreasing in
 M; L(x) = N - U(n - x) by the pmf reflection w(M, x) = w(N - M, n - x).
 A full table inverts the equal-tail acceptance intervals by the sweep
-``invert`` runs. Tail comparisons are exact integer tests against
-alpha/2's integer ratio.
+``invert`` runs. Tail comparisons are exact integer tests against alpha's
+own integer ratio, halved exactly (``_half_alpha_bar``), for every float.
 """
 
 from __future__ import annotations
@@ -22,10 +22,15 @@ def _lower_tail_weight(M: int, x: int, p: Params) -> int:
     return p.total_weight - interval_weight(M, x + 1, hi, p)
 
 
+def _half_alpha_bar(p: Params) -> tuple:
+    """(bar, den): a tail weight T has T / C(N, n) > alpha/2 exactly when T * den > bar."""
+    num, den = p._alpha_ratio
+    return num * p.total_weight, 2 * den
+
+
 def _upper_end(x: int, p: Params) -> int:
     """U(x), the largest M with P_M(X <= x) > alpha/2, by bisection over M."""
-    num, den = (p.alpha / 2).as_integer_ratio()
-    bar = num * p.total_weight  # the tail weight must exceed bar / den
+    bar, den = _half_alpha_bar(p)
     # P_M(X <= x) is nonincreasing in M and equals 1 at M = 0
     lo, hi = 0, p.N
     while lo < hi:
@@ -59,8 +64,7 @@ def pivot_table(p: Params) -> ConfidenceTable:
     tail must equal the carried weight when x leaves the support, and both
     are checked against weight and interval_weight after the last M.
     """
-    num, den = (p.alpha / 2).as_integer_ratio()
-    bar = num * p.total_weight  # the tail weight must exceed bar / den
+    bar, den = _half_alpha_bar(p)
     N, n = p.N, p.n
     x = 0
     w = tail = weight(0, 0, p)

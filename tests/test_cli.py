@@ -105,6 +105,16 @@ class TestTable:
         assert lines[-1] == "# total_size: 7129"
         assert len([l for l in lines if l and not l.startswith("#") and l != "x,L,U"]) == 101
 
+    # 5e-324 / 2 rounds to 0 in floating point; the centre and the pivot
+    # use the exact half of the subnormal's own ratio
+    def test_subnormal_alpha_table(self, capsys):
+        code, out, _ = run(
+            capsys, "table", "--N", "2000", "--n", "1000", "--alpha", "5e-324", "--no-timing"
+        )
+        assert code == 0
+        want = table_to_csv(cstar_table(Params(2000, 1000, Fraction(5e-324))))
+        assert out.splitlines()[1:] == want.splitlines()[1:]
+
     def test_pivot_row(self, capsys):
         _, out, _ = run(
             capsys, "table", "--N", "500", "--n", "100", "--alpha", "0.05",
@@ -311,6 +321,18 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert err == "error: list '3:1' has no values\n"
+
+    # a fourth field, a step below 1 or a range whose stop a negative step
+    # would drop is rejected, never read as some other list
+    @pytest.mark.parametrize("cmd, flag, text", [
+        ("compare", "--n-list", "10:30:10:7"), ("compare", "--n-list", "30:10:-10"),
+        ("compare", "--n-list", "10:30:0"), ("certify", "--N-list", "3:1:-1"),
+    ])
+    def test_malformed_range_rejected(self, capsys, cmd, flag, text):
+        common = ["--N", "60", "--alpha", "0.1"] if cmd == "compare" else []
+        code, out, err = run(capsys, cmd, *common, flag, text)
+        assert code == 2 and out == ""
+        assert err == f"error: list {text!r} is not a range start:stop[:step] with step >= 1\n"
 
     def test_invalid_n_rejected(self, capsys):
         code, _, err = run(

@@ -11,7 +11,6 @@ from hyperci.core import (
     carry_window,
     interval_prob,
     interval_weight,
-    lower_quantile,
     mode,
     pmf,
     step_down,
@@ -238,24 +237,6 @@ def test_interval_weight_matches_table_slice(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_lower_quantile_matches_prefix_scan(data):
-    N = data.draw(st.integers(1, 80))
-    n = data.draw(st.integers(1, N))
-    M = data.draw(st.integers(0, N))
-    p = Params(N, n, 0.31)
-    num = data.draw(st.integers(0, 99))
-    threshold = data.draw(st.sampled_from([Fraction(num, 100), num / 100]))
-    lo, _ = support(M, p)
-    cum = 0
-    for x, w in enumerate(weight_table(M, p), lo):
-        cum += w
-        if Fraction(cum, p.total_weight) > threshold:
-            break
-    assert lower_quantile(M, threshold, p) == x
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
 def test_step_m_matches_direct_weight(data):
     N = data.draw(st.integers(1, 120))
     n = data.draw(st.integers(1, N))
@@ -306,16 +287,3 @@ def test_carry_window_rejects_mass_left_below_the_support():
     assert carry_window(2, 0, 0, w, w, w, p) == (1, 1) + (weight(3, 1, p),) * 3
     with pytest.raises(AssertionError, match="corrupt kernels"):
         carry_window(2, 0, 0, w, w, w + 1, p)
-
-
-def test_lower_quantile_exact_at_a_tie():
-    # P_10(X <= 1) = 2730 / 38760 exactly: the tail must exceed it, not reach it
-    p = Params(20, 6, 0.5)
-    tie = Fraction(2730, 38760)
-    assert lower_quantile(10, tie, p) == 2
-    assert lower_quantile(10, tie - Fraction(1, 10**9), p) == 1
-
-
-def test_lower_quantile_rejects_unreachable_threshold():
-    with pytest.raises(ValueError):
-        lower_quantile(10, 1, Params(20, 6, 0.5))

@@ -23,7 +23,6 @@ from hyperci import (
 )
 from hyperci.acceptance import AcceptanceFamily, _mirror
 from hyperci.certify import DEFAULT_ALPHAS
-from hyperci.core import lower_quantile
 from hyperci.inversion import _build
 from hyperci.monotonize import _shift, center_interval
 
@@ -216,20 +215,23 @@ class TestCstarComposition:
             outcomes.add("stored" if slid else "unslid")
         assert outcomes == {"raised", "stored", "unslid"}
 
-    def test_failed_centre_cross_check_is_an_internal_fault(self, monkeypatch, capsys):
+    # a zero weight kernel breaks the centre proof's input: the window
+    # inside [h, n-h] then keeps the whole mass and still attains the level
+    def test_failed_centre_proof_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        monkeypatch.setattr("hyperci.monotonize.lower_quantile",
-                            lambda M, t, p: lower_quantile(M, t, p) - 1)
-        with pytest.raises(AssertionError, match="center cross-check failed"):
+        monkeypatch.setattr("hyperci.monotonize.weight", lambda M, x, p: 0)
+        with pytest.raises(AssertionError, match="center proof failed"):
             cstar_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
         # the public stage keeps ValueError for a centre from outside
-        with pytest.raises(ValueError, match="center cross-check failed"):
-            center_interval(Params(40, 13, 0.2), (5, 8))
+        monkeypatch.undo()
+        assert center_interval(Params(40, 13, 0.2), (5, 8)) == (5, 8)
+        with pytest.raises(ValueError, match="center proof failed"):
+            center_interval(Params(40, 13, 0.2), (4, 9))
 
     # the module is `hyperci.inversion`, so a dotted patch path reaches it,
     # while the package's name `invert` stays the function

@@ -6,7 +6,14 @@ from hyperci import Params, adjust, amo_half, center_interval, symmetrize
 from hyperci.acceptance import AcceptanceFamily
 from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import attains_level, support
-from hyperci.oracle import greedy_interval, weight_table
+from hyperci.inversion import _build
+from hyperci.oracle import (
+    greedy_interval,
+    lower_quantile,
+    min_center_length,
+    prefix_row,
+    weight_table,
+)
 
 from test_acceptance_family import family_is_level, reflect_full
 
@@ -149,7 +156,35 @@ class TestCenterInterval:
         a, b = adjusted.interval(250)
         h, top = center_interval(p, (a, b))
         assert h + top == 100
-        assert h == min(a, 100 - b)
+        assert h == lower_quantile(250, Fraction(p.alpha) / 2, p)
+
+    # h = min(a, n - b) and its level proof against the shortest symmetric
+    # window found by the independent prefix-row search; a raw centre one
+    # point wider or narrower on each side must fail the proof
+    def test_proven_h_matches_prefix_row_search(self):
+        for N in range(2, 41, 2):
+            for n in range(1, N + 1):
+                for alpha in DEFAULT_ALPHAS + (0.05,):
+                    p = Params(N, n, alpha)
+                    a, b = raw = _build(p)[4]
+                    bar = (1 - Fraction(alpha)) * p.total_weight
+                    length = min_center_length(prefix_row(N // 2, p), n, bar)
+                    c = (n + 1 - length) // 2
+                    assert center_interval(p, raw) == (c, n - c), (N, n, alpha)
+                    for mutant in [(a - 1, b + 1), (a + 1, b - 1)]:
+                        with pytest.raises(ValueError, match="center proof failed"):
+                            center_interval(p, mutant)
+
+    # the even ``ladder`` instances, and a subnormal alpha whose float half
+    # rounds to 0, against the uncapped lower-tail reference
+    @pytest.mark.parametrize("N, n, alpha", [
+        (500, 100, 0.05), (1000, 500, 0.05), (2000, 1000, 0.05), (5000, 1000, 0.05),
+        (2000, 1000, 5e-324),
+    ])
+    def test_proven_h_is_the_tail_quantile(self, N, n, alpha):
+        p = Params(N, n, alpha)
+        h, _ = center_interval(p, _build(p)[4])
+        assert h == lower_quantile(N // 2, Fraction(alpha) / 2, p)
 
     def test_odd_population_rejected(self):
         with pytest.raises(ValueError):

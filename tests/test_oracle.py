@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperci import Params, cstar_table, interval_prob
+from hyperci.core import support
 from hyperci.oracle import (
     exact_coverage,
     exact_interval_prob,
+    lower_quantile,
     max_prob_interval,
     min_interval_class_total,
     min_level_interval,
@@ -13,6 +17,7 @@ from hyperci.oracle import (
     min_symmetric_set_size_bruteforce,
     min_symmetric_total,
     unimodal_peak,
+    weight_table,
 )
 
 A60 = Fraction(3, 5)
@@ -145,3 +150,34 @@ class TestExactCoverage:
     def test_boundary_certain(self):
         tbl = cstar_table(Params(20, 6, 0.6))
         assert exact_coverage(tbl, 0) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lower_quantile_matches_prefix_scan(data):
+    N = data.draw(st.integers(1, 80))
+    n = data.draw(st.integers(1, N))
+    M = data.draw(st.integers(0, N))
+    p = Params(N, n, 0.31)
+    num = data.draw(st.integers(0, 99))
+    threshold = data.draw(st.sampled_from([Fraction(num, 100), num / 100]))
+    lo, _ = support(M, p)
+    cum = 0
+    for x, w in enumerate(weight_table(M, p), lo):
+        cum += w
+        if Fraction(cum, p.total_weight) > threshold:
+            break
+    assert lower_quantile(M, threshold, p) == x
+
+
+def test_lower_quantile_exact_at_a_tie():
+    # P_10(X <= 1) = 2730 / 38760 exactly: the tail must exceed it, not reach it
+    p = Params(20, 6, 0.5)
+    tie = Fraction(2730, 38760)
+    assert lower_quantile(10, tie, p) == 2
+    assert lower_quantile(10, tie - Fraction(1, 10**9), p) == 1
+
+
+def test_lower_quantile_rejects_unreachable_threshold():
+    with pytest.raises(ValueError):
+        lower_quantile(10, 1, Params(20, 6, 0.5))

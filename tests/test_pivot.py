@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperci import Params, acceptance_of, pivot_ci, pivot_table
-from hyperci.core import interval_weight, lower_quantile
-from hyperci.oracle import pivot_scan
+from hyperci.core import interval_weight
+from hyperci.oracle import lower_quantile, pivot_scan
 from hyperci.pivot import _lower_tail_weight
 
 from reference_tables import COMPETITOR_L, COMPETITOR_U
@@ -65,10 +65,19 @@ class TestPivotTable:
         q = Params(45, 17, 0.1)
         assert pivot_table(p).lower == pivot_table(q).lower
 
+    # a subnormal float halves inexactly in floating point: 5e-324 / 2 is 0
+    def test_subnormal_alpha_halved_exactly(self):
+        tbl = pivot_table(Params(2000, 1000, 5e-324))
+        exact = pivot_table(Params(2000, 1000, Fraction(5e-324)))
+        assert (tbl.lower, tbl.upper) == (exact.lower, exact.upper)
+        assert tbl.total_size < 2001 * 1001
+        for x in range(0, 1001, 50):
+            assert pivot_ci(x, tbl.params) == tbl.interval(x), x
+
 
 def pivot_reference(p):
     """Reference table: each M's quantile found by lower_quantile, then merged."""
-    thresholds = [lower_quantile(M, p.alpha / 2, p) for M in range(p.N + 1)]
+    thresholds = [lower_quantile(M, Fraction(p.alpha) / 2, p) for M in range(p.N + 1)]
     upper = [max(M for M, t in enumerate(thresholds) if t <= x) for x in range(p.n + 1)]
     lower = [p.N - upper[p.n - x] for x in range(p.n + 1)]
     return tuple(lower), tuple(upper)
@@ -113,7 +122,7 @@ class TestPivotInversion:
                   (2000, 1000, 0.05), (5000, 1000, 0.05)]
         for N, n, alpha in cases:
             p = Params(N, n, alpha)
-            t = [lower_quantile(M, p.alpha / 2, p) for M in range(N + 1)]
+            t = [lower_quantile(M, Fraction(p.alpha) / 2, p) for M in range(N + 1)]
             dual = acceptance_of(pivot_table(p))
             assert dual.lower == tuple(t), (N, n, alpha)
             assert dual.upper == tuple(n - t[N - M] for M in range(N + 1)), (N, n, alpha)
