@@ -177,12 +177,12 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     max_delta = max([*up.values(), *down.values()], default=0)
     t.metric_max("shift-metrics", "max_delta", max_delta, tag)
 
-    # center interval formulas (even N): the tail-scan h the build set must
-    # equal the min-form shortcut on the centre's input; the max-form
-    # variant's disagreements are flagged as a metric rather than failures
+    # center interval formulas (even N): the build's centre must be [h, n - h]
+    # with h the oracle's tail scan, min{x : P(X <= x) > alpha/2}; the max-form
+    # shortcut's disagreements with h are a metric rather than failures
     if N % 2 == 0:
-        h = fam.lower[k]
-        ok = h == min(a_k, n - b_k) and fam.upper[k] == n - h
+        h = oracle.lower_quantile(k, alpha / 2, p)
+        ok = fam.interval(k) == (h, n - h)
         t.hit("center-formulas", 1, None if ok else f"{tag}: centre {fam.interval(k)}")
         if max(a_k, n - b_k) != h:
             t.metric_count("center-formulas", "maxform_disagreements")
@@ -445,8 +445,6 @@ def run_certification(
     A bad grid raises ValueError; a ValueError while checking the validated
     grid is a program fault and raises AssertionError.
     """
-    if max_population > oracle.N_CAP:
-        raise ValueError(f"grid capped at N <= {oracle.N_CAP}")
     ns = sorted(set(populations)) if populations is not None else range(1, max_population + 1)
     if not ns or ns[0] < 1:
         found = f"N={ns[0]}" if ns else "no N"

@@ -4,7 +4,8 @@ Subcommands: ci (one interval), table (full x -> [L, U] table), coverage
 (per-M coverage probabilities), compare (size/time sweep against the
 pivotal baseline over a list of n), certify (exact small-grid checks).
 
-Output is CSV by default (tsv/pretty available); a total-size footer is
+Output of table, coverage and compare is CSV by default (tsv/pretty
+available); ci prints one interval [L, U]. A total-size footer is
 deterministic, the timing footer is not and can be suppressed with
 --no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error
 (bad input, or an --out path that cannot be written), 3 internal error (a
@@ -84,7 +85,7 @@ def cmd_ci(args) -> int:
         raise ValueError(f"x must be in [0, {p.n}], got {args.x}")
     tbl = _build(args, p)
     low, high = tbl.interval(args.x)
-    print(f"[{low}, {high}]")
+    _write(args, f"[{low}, {high}]\n")
     return 0
 
 
@@ -167,7 +168,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _add_common(sub, with_n=True, with_method=True):
+def _add_common(sub, with_n=True, with_method=True, with_format=True):
     sub.add_argument("--N", type=int, required=True, help="population size")
     if with_n:
         sub.add_argument("--n", type=int, required=True, help="sample size")
@@ -181,10 +182,11 @@ def _add_common(sub, with_n=True, with_method=True):
             help="interval construction (default: cstar)",
         )
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument(
-        "--format", choices=["csv", "tsv", "pretty"], default="csv",
-        help="output format (default: csv)",
-    )
+    if with_format:
+        sub.add_argument(
+            "--format", choices=["csv", "tsv", "pretty"], default="csv",
+            help="output format (default: csv)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("ci", help="one confidence interval for an observed x")
-    _add_common(sub)
+    _add_common(sub, with_format=False)  # one interval has no CSV form
     sub.add_argument("--x", type=int, required=True, help="observed special count")
     sub.set_defaults(fn=cmd_ci)
 
@@ -219,8 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=cmd_compare)
 
     sub = subs.add_parser("certify", help="run the exact small-grid certification")
-    sub.add_argument("--max-N", type=int, default=40, help="largest N in the grid (<= 200)")
-    sub.add_argument("--N-list", help="explicit N values, comma list or range")
+    grid = sub.add_mutually_exclusive_group()
+    # argparse parses a string default only when the flag is absent, so an
+    # explicit --max-N 40 still conflicts with --N-list
+    grid.add_argument("--max-N", type=int, default="40",
+                      help="largest N in the grid (<= 200; default: 40)")
+    grid.add_argument("--N-list", help="explicit N values, comma list or range")
     sub.add_argument(
         "--alphas", nargs="+", type=partial(_alpha_arg, exact=True), default=DEFAULT_ALPHAS,
         help="alpha values in (0, 1) as exact decimals or fractions (e.g. 0.05 3/5)",

@@ -1,9 +1,10 @@
 """Invert a monotone acceptance family into a confidence table.
 
 C(x) = {M : x in A(M)}; with nondecreasing endpoints it is an interval
-[L(x), U(x)], recovered by one merged sweep over M (no per-x searches).
-``_inverse`` is that sweep on endpoint lists, and the only one: ``invert``,
-``cstar_table`` and ``pivot_table`` all run it.
+[L(x), U(x)], L(x) = min{M : b_M >= x} and U(x) = max{M : a_M <= x}: two
+bisections of the sorted endpoint lists per x. ``_inverse`` is that
+inversion, and the only one: ``invert``, ``cstar_table`` and
+``pivot_table`` all run it.
 
 ``cstar_table`` is ``_build(p)[0]``; ``_build``'s docstring lists where it
 checks each invariant. Its level masses over C(N, n) are the coverage at
@@ -19,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror, interval_masses
+from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror
 from .core import Params, attains_level, interval_prob, interval_weight
 from .monotonize import _shift, center_interval
 
@@ -72,8 +73,10 @@ def invert(fam: AcceptanceFamily, method: Method = Method.CSTAR) -> ConfidenceTa
 def _inverse(p: Params, a, b) -> tuple:
     """Endpoint tuples (L, U) inverting the family [a[M], b[M]], M = 0..N.
 
-    An x that no interval contains gets L(x) > U(x); every caller builds a
-    ``ConfidenceTable`` from the rows, which rejects such a row.
+    Every family here lies in its supports, so a[0] = 0 and b[N] = n (M = 0
+    and M = N have one-point supports): each x has some b_M >= x and some
+    a_M <= x. An x that no interval contains gets L(x) > U(x); every caller
+    builds a ``ConfidenceTable`` from the rows, which rejects such a row.
     """
     N, n = p.N, p.n
     if len(a) != N + 1 or len(b) != N + 1:
@@ -82,16 +85,8 @@ def _inverse(p: Params, a, b) -> tuple:
         M = next(M for M in range(N) if a[M] > a[M + 1] or b[M] > b[M + 1])
         raise ValueError(f"family endpoints not nondecreasing at M={M}; "
                          "inversion would not be interval-valued")
-    lower, upper = [0] * (n + 1), [0] * (n + 1)
-    m_low = m_high = 0  # min M with b_M >= x, max M with a_M <= x
-    for x in range(n + 1):
-        while m_low <= N and b[m_low] < x:
-            m_low += 1
-        while m_high < N and a[m_high + 1] <= x:
-            m_high += 1
-        lower[x] = m_low
-        upper[x] = m_high
-    return tuple(lower), tuple(upper)
+    xs = range(n + 1)
+    return tuple([bisect_left(b, x) for x in xs]), tuple([bisect_right(a, x) - 1 for x in xs])
 
 
 def coverage(tbl: ConfidenceTable, M: int) -> float:
@@ -103,9 +98,7 @@ def coverage(tbl: ConfidenceTable, M: int) -> float:
     # qualifying x form an interval because L and U are nondecreasing
     x_lo = bisect_left(tbl.upper, M)
     x_hi = bisect_right(tbl.lower, M) - 1
-    if x_lo > x_hi:
-        return 0.0
-    return interval_prob(M, x_lo, x_hi, p)
+    return interval_prob(M, x_lo, x_hi, p)  # 0.0 for an empty window
 
 
 def _half_coverage(tbl: ConfidenceTable) -> tuple:
@@ -116,9 +109,8 @@ def _half_coverage(tbl: ConfidenceTable) -> tuple:
     if tbl._coverage is not None:
         return tbl._coverage
     p = tbl.params
-    lower, upper = _dual(tbl, p.N // 2 + 1)
-    _check_support(p, lower, upper)
-    return tuple(m / p.total_weight for m in interval_masses(p, lower, upper))
+    half = AcceptanceFamily(p, *_dual(tbl, p.N // 2 + 1))
+    return tuple(m / p.total_weight for m in half.masses())
 
 
 def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:

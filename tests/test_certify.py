@@ -64,6 +64,12 @@ class TestTargetedGrids:
         with pytest.raises(ValueError, match="capped"):
             run_certification(populations=[250])
 
+    # an explicit N list is the grid; max_population does not cap it
+    def test_populations_override_max_population(self):
+        report = run_certification(max_population=300, populations=[3])
+        assert report.ok
+        assert report.grid.startswith("N in {3}, ")
+
     @pytest.mark.parametrize("grid", [{"max_population": 0}, {"max_population": -3},
                                       {"populations": [0, 3]}, {"populations": []}])
     def test_empty_or_trimmed_grid_rejected(self, grid):
@@ -126,6 +132,28 @@ class TestShiftDisjointSets:
         certify.check_instance(t, p.N, p.n, p.alpha)
         text = CertificationReport(checks=list(t.values()), grid="(40, 13, 1/5)").render()
         assert "FAIL shift-disjoint-sets" in text
+
+
+class TestCenterFormulas:
+    # the centre is checked against the oracle's tail scan, not against the
+    # build's own min(a, n - b): a build that widens the centre to
+    # [h - 1, n - h + 1] and reports it as its pre-centre too must fail
+    def test_wider_symmetric_centre_fails(self, monkeypatch):
+        p = Params(40, 13, Fraction(1, 5))
+        tbl, lower, upper, trace, _ = certify._build(p)
+        k, n = p.N // 2, p.n
+        h = lower[k]
+        assert h >= 1
+        lower, upper = list(lower), list(upper)
+        lower[k], upper[k] = h - 1, n - h + 1
+        monkeypatch.setattr(certify, "_build",
+                            lambda p: (tbl, lower, upper, trace, (h - 1, n - h + 1)))
+        monkeypatch.setattr(certify, "PIVOT_CAP", 0)
+        monkeypatch.setattr(certify, "SUBSET_CAP", 0)
+        t = certify.Tallies()
+        certify.check_instance(t, p.N, p.n, p.alpha)
+        text = CertificationReport(checks=list(t.values()), grid="(40, 13, 1/5)").render()
+        assert "FAIL center-formulas" in text
 
 
 # half families that raise an interval; the default grid (N <= 40) moves none

@@ -64,6 +64,32 @@ class TestCi:
         want = cstar_table(Params(20, 6, Fraction(3, 5))).interval(3)
         assert out.strip() == f"[{want[0]}, {want[1]}]"
 
+    def test_out_writes_the_interval(self, capsys, tmp_path):
+        path = tmp_path / "ci.txt"
+        code, out, err = run(
+            capsys, "ci", "--N", "10", "--n", "3", "--x", "1", "--alpha", "0.1", "--out", str(path)
+        )
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == "[1, 7]\n"
+
+    def test_out_to_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "ci.txt"
+        code, out, err = run(
+            capsys, "ci", "--N", "10", "--n", "3", "--x", "1", "--alpha", "0.1", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    # one interval has no CSV form, so ci offers no --format to ignore
+    def test_format_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ci", "--N", "10", "--n", "3", "--x", "1", "--alpha", "0.1", "--format", "tsv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTable:
     GOLDEN_SMALL = (
@@ -441,6 +467,17 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--max-N", "300")
         assert code == 2
         assert "error" in err
+
+    # the grid is named one way: --max-N and --N-list together are a usage
+    # error, whether --max-N is over the cap or would be ignored
+    @pytest.mark.parametrize("max_n", ["300", "10", "40"])
+    def test_max_n_with_n_list_exits_2(self, capsys, max_n):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--N-list", "3", "--max-N", max_n])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", [("--max-N", "0"), ("--max-N", "-3"), ("--N-list", "0,3"),
                                       ("--N-list", "")])

@@ -23,7 +23,7 @@ from hyperci import (
 )
 from hyperci.acceptance import AcceptanceFamily, _mirror
 from hyperci.certify import DEFAULT_ALPHAS
-from hyperci.inversion import _build
+from hyperci.inversion import ConfidenceTable, _build, _inverse
 from hyperci.monotonize import _shift, center_interval
 
 from test_certify import SHIFT_CORPUS
@@ -272,6 +272,25 @@ class TestDuality:
         assert dual.lower == sym.lower and dual.upper == sym.upper
         assert invert(dual) == tbl
 
+    # random monotone families in their supports, not pipeline outputs;
+    # sorting each endpoint list keeps it in the supports (both support
+    # bounds are nondecreasing in M) and keeps a_M <= b_M
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_inverse_on_arbitrary_monotone_families(self, data):
+        N = data.draw(st.integers(1, 30))
+        n = data.draw(st.integers(1, N))
+        a, b = [], []
+        for M in range(N + 1):
+            a.append(data.draw(st.integers(max(0, M + n - N), min(M, n))))
+            b.append(data.draw(st.integers(a[-1], min(M, n))))
+        _check_inverse(Params(N, n, 0.5), sorted(a), sorted(b))
+
+    # x = 1 lies in no interval: A(1) = [0, 0], A(2) = [2, 2]
+    def test_inverse_of_family_with_an_uncovered_x(self):
+        lower, upper = _check_inverse(Params(3, 2, 0.5), [0, 0, 2, 2], [0, 0, 2, 2])
+        assert (lower[1], upper[1]) == (2, 1)
+
     def test_symmetry_equivalent_under_set_form_inversion(self):
         # symmetric family -> symmetric confidence sets; perturbing one
         # family entry breaks symmetry on both sides at once
@@ -290,6 +309,19 @@ class TestDuality:
                 else:
                     continue
                 break
+
+
+def _check_inverse(p, a, b):
+    """``_inverse``'s rows against their definitions and the set form."""
+    N, n = p.N, p.n
+    AcceptanceFamily(p, tuple(a), tuple(b))  # the family lies in its supports
+    lower, upper = _inverse(p, a, b)
+    for x in range(n + 1):
+        assert lower[x] == min([M for M in range(N + 1) if b[M] >= x])
+        assert upper[x] == max([M for M in range(N + 1) if a[M] <= x])
+        members = [M for M in range(N + 1) if a[M] <= x <= b[M]]
+        assert members == list(range(lower[x], upper[x] + 1))
+    return lower, upper
 
 
 def _warp(fam, M, a, b):
@@ -361,6 +393,15 @@ class TestCoverage:
             for tbl in (cstar_table(p), pivot_table(p)):
                 swept = [m / p.total_weight for m in acceptance_of(tbl).masses()]
                 assert swept == [coverage(tbl, M) for M in range(N + 1)], (N, n, alpha)
+
+    # a hand-built table whose intervals miss M = 5 entirely: coverage there
+    # is the empty window's 0.0, and no dual interval exists
+    def test_table_with_an_uncovered_m(self):
+        tbl = ConfidenceTable(Params(10, 1, 0.5), Method.PIVOT, (0, 6), (4, 10))
+        assert coverage(tbl, 5) == 0.0
+        assert coverage(tbl, 4) == 0.6
+        with pytest.raises(ValueError, match="table accepts no x at M=5"):
+            acceptance_of(tbl)
 
     def test_middle_acceptance_interval_holds_level(self):
         from hyperci.core import interval_prob
