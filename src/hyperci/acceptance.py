@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import le
 
 from .core import DRIFTED, Params, carry_window, interval_weight, step_down, step_up, weight
 
@@ -64,6 +65,11 @@ class AcceptanceFamily:
 def _check_support(p: Params, lower, upper) -> None:
     """Raise ValueError unless lo <= lower[M] <= upper[M] <= hi at each M."""
     N, n = p.N, p.n
+    # C-level passes first; the loop runs only on failure, to name the first bad M
+    tail = lower[N - n:]  # M >= N - n, where lo(M) = M - (N - n)
+    if (min(lower, default=0) >= 0 and max(upper, default=0) <= n and all(map(le, lower, upper))
+            and all(map(le, upper, range(len(upper)))) and all(map(le, range(len(tail)), tail))):
+        return
     for M, (a, b) in enumerate(zip(lower, upper)):
         lo, hi = max(0, M + n - N), min(M, n)
         if not lo <= a <= b <= hi:

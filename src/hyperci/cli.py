@@ -28,7 +28,7 @@ from functools import partial
 from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
 from .inversion import ConfidenceTable, _half_coverage, cstar_table, table_to_csv
-from .pivot import pivot_table
+from .pivot import pivot_ci, pivot_table
 
 
 def _params(args) -> Params:
@@ -83,8 +83,7 @@ def cmd_ci(args) -> int:
     p = _params(args)
     if not 0 <= args.x <= p.n:
         raise ValueError(f"x must be in [0, {p.n}], got {args.x}")
-    tbl = _build(args, p)
-    low, high = tbl.interval(args.x)
+    low, high = pivot_ci(args.x, p) if args.method == "pivot" else cstar_table(p).interval(args.x)
     _write(args, f"[{low}, {high}]\n")
     return 0
 

@@ -3,9 +3,10 @@
 The pivotal interval is equal-tailed. U(x) is the largest M with
 P_M(X <= x) > alpha/2, one bisection since that tail is nonincreasing in
 M; L(x) = N - U(n - x) by the pmf reflection w(M, x) = w(N - M, n - x).
-A full table inverts the equal-tail acceptance intervals by the sweep
-``invert`` runs. Tail comparisons are exact integer tests against alpha's
-own integer ratio, halved exactly (``_half_alpha_bar``), for every float.
+A full table is those n + 1 bisections when n << N, else one sweep over M
+of the equal-tail acceptance intervals, inverted by ``_inverse``. Tail
+comparisons are exact integer tests against alpha's own integer ratio,
+halved exactly (``_half_alpha_bar``), for every float.
 """
 
 from __future__ import annotations
@@ -50,6 +51,27 @@ def pivot_ci(x: int, p: Params) -> tuple:
 
 
 def pivot_table(p: Params) -> ConfidenceTable:
+    """Equal-tail table for every x, from two exact builders with identical rows.
+
+    ``_bisect_table`` costs about (n + 1) * n * N.bit_length() steps: n + 1
+    bisections of ceil(log2(N + 1)) tail sums of up to n weights each. The
+    sweep costs O(N + n), so the table bisects while that count is below 2 * N.
+    """
+    try:
+        if (p.n + 1) * p.n * p.N.bit_length() < 2 * p.N:
+            return _bisect_table(p)
+        return _sweep_table(p)
+    except ValueError as e:  # p is valid, so a failed self-check is a program fault
+        raise AssertionError(f"pivot table self-check failed: {e}") from e
+
+
+def _bisect_table(p: Params) -> ConfidenceTable:
+    """Rows U(x) = ``_upper_end(x, p)`` and L(x) = N - U(n - x), as pivot_ci gives them."""
+    upper = tuple(_upper_end(x, p) for x in range(p.n + 1))
+    return ConfidenceTable(p, Method.PIVOT, tuple(p.N - u for u in upper[::-1]), upper)
+
+
+def _sweep_table(p: Params) -> ConfidenceTable:
     """Equal-tail table for every x, via one sweep of per-M tail quantiles.
 
     For each M the sweep finds t(M), the smallest x with P_M(X <= x) >
@@ -92,8 +114,5 @@ def pivot_table(p: Params) -> ConfidenceTable:
         thresholds.append(x)
     if w != weight(N, x, p) or tail != interval_weight(N, 0, x, p):
         raise AssertionError("carried pivot weights drifted; corrupt kernels")
-    try:
-        rows = _inverse(p, thresholds, [n - t for t in reversed(thresholds)])
-        return ConfidenceTable(p, Method.PIVOT, *rows)
-    except ValueError as e:  # p is valid, so a failed self-check is a program fault
-        raise AssertionError(f"pivot table self-check failed: {e}") from e
+    rows = _inverse(p, thresholds, [n - t for t in reversed(thresholds)])
+    return ConfidenceTable(p, Method.PIVOT, *rows)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperci import Params, acceptance_of, adjust, amo_half, cstar_table, symmetrize
-from hyperci.acceptance import AcceptanceFamily, _mirror
+from hyperci.acceptance import AcceptanceFamily, _check_support, _mirror
 from hyperci.core import attains_level, interval_weight, support, weight
 from hyperci.oracle import (
     exact_interval_prob,
@@ -203,6 +203,33 @@ class TestFamilyValidation:
         lower, upper = zip(*ints)
         fam = AcceptanceFamily(p, lower, upper)
         assert family_is_level(fam)
+
+    # the support check's C-level passes accept exactly what a per-M loop
+    # accepts, and a rejection names the first bad M
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_support_check_matches_per_m_loop(self, data):
+        N = data.draw(st.integers(1, 60))
+        n = data.draw(st.integers(1, N))
+        k = data.draw(st.integers(1, N + 1))
+        lower = [max(0, M + n - N) for M in range(k)]
+        upper = [min(M, n) for M in range(k)]
+        for _ in range(data.draw(st.integers(0, 3))):  # move a few endpoints by one
+            side = (lower, upper)[data.draw(st.integers(0, 1))]
+            side[data.draw(st.integers(0, k - 1))] += data.draw(st.sampled_from((-1, 1)))
+        expected = None
+        for M, (a, b) in enumerate(zip(lower, upper)):
+            lo, hi = max(0, M + n - N), min(M, n)
+            if not lo <= a <= b <= hi:
+                expected = f"interval [{a}, {b}] at M={M} leaves the support [{lo}, {hi}]"
+                break
+        p = Params(N, n, 0.1)
+        if expected is None:
+            _check_support(p, lower, upper)
+        else:
+            with pytest.raises(ValueError) as exc:
+                _check_support(p, lower, upper)
+            assert str(exc.value) == expected
 
 
 def oracle_masses(fam):

@@ -38,6 +38,27 @@ class TestCi:
         assert code == 0
         assert out.strip() == "[39, 101]"
 
+    # ci --method pivot runs pivot_ci; its interval is the pivot table's row,
+    # on instances where the table bisects and where it sweeps
+    def test_pivot_matches_table_rows(self, capsys):
+        for N in range(1, 7):
+            for n in range(1, N + 1):
+                for alpha in ("0.1", "3/5"):
+                    argv = ["--N", str(N), "--n", str(n), "--alpha", alpha, "--method", "pivot"]
+                    _, table, _ = run(capsys, "table", *argv, "--no-timing")
+                    for row in table.splitlines()[2:-1]:
+                        x, low, high = row.split(",")
+                        code, out, _ = run(capsys, "ci", *argv, "--x", x)
+                        assert (code, out) == (0, f"[{low}, {high}]\n"), (N, n, alpha, x)
+
+    @pytest.mark.parametrize("x", ["-1", "7"])
+    def test_pivot_invalid_x_exits_2(self, capsys, x):
+        code, out, err = run(
+            capsys, "ci", "--N", "20", "--n", "6", "--x", x, "--alpha", "0.6", "--method", "pivot"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: x must be in [0, 6]") and err.count("\n") == 1
+
     def test_invalid_x_exits_2(self, capsys):
         code, _, err = run(
             capsys, "ci", "--N", "20", "--n", "6", "--x", "7", "--alpha", "0.6"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hyperci import Params, acceptance_of, pivot_ci, pivot_table
 from hyperci.core import interval_weight
 from hyperci.oracle import lower_quantile, pivot_scan
-from hyperci.pivot import _lower_tail_weight
+from hyperci.pivot import _bisect_table, _lower_tail_weight, _sweep_table
 
 from reference_tables import COMPETITOR_L, COMPETITOR_U
 
@@ -55,7 +55,7 @@ class TestPivotTable:
     ])
     def test_rows_match_single_interval_queries_large_n(self, N, n, alpha):
         p = Params(N, n, alpha)
-        tbl = pivot_table(p)
+        tbl = _sweep_table(p)  # pivot_table bisects on the wide instances, as pivot_ci does
         xs = range(n + 1) if n <= 300 else [*range(0, n, n // 40), n]
         for x in xs:
             assert pivot_ci(x, p) == tbl.interval(x), x
@@ -109,7 +109,7 @@ class TestPivotSweep:
         step = pivot.step_m
         monkeypatch.setattr(pivot, "step_m", lambda w, M, x, p: step(w, M, x, p) * 1001 // 1000)
         with pytest.raises(AssertionError, match="corrupt kernels"):
-            pivot_table(Params(N, n, alpha))
+            _sweep_table(Params(N, n, alpha))
 
 
 class TestPivotInversion:
@@ -127,7 +127,8 @@ class TestPivotInversion:
             assert dual.lower == tuple(t), (N, n, alpha)
             assert dual.upper == tuple(n - t[N - M] for M in range(N + 1)), (N, n, alpha)
 
-    # p is valid, so a failed check in the inversion is a program fault
+    # p is valid, so a failed check in the inversion is a program fault;
+    # (40, 13, 0.2) sweeps, so pivot_table runs the patched _inverse
     def test_failed_inversion_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
@@ -138,6 +139,65 @@ class TestPivotInversion:
         with pytest.raises(AssertionError, match="patched inversion"):
             pivot_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2", "--method", "pivot"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+# certify's five alphas and the float the benchmark uses
+PATH_ALPHAS = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 5),
+               Fraction(3, 5), 0.05)
+
+
+def same_rows(a, b):
+    return (a.lower, a.upper) == (b.lower, b.upper)
+
+
+class TestPivotPaths:
+    """pivot_table bisects when (n + 1) * n * N.bit_length() < 2 * N, else sweeps."""
+
+    def test_forced_paths_agree_small_grid(self):
+        for N in range(1, 41):
+            for n in range(1, N + 1):
+                for alpha in PATH_ALPHAS:
+                    p = Params(N, n, alpha)
+                    assert same_rows(_sweep_table(p), _bisect_table(p)), (N, n, alpha)
+
+    # wide-shaped instances, n << N, far past the oracle cap
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_forced_paths_agree_wide(self, data):
+        N = data.draw(st.integers(1, 20000))
+        n = data.draw(st.integers(1, min(N, 20)))
+        p = Params(N, n, data.draw(st.sampled_from(PATH_ALPHAS)))
+        assert same_rows(_sweep_table(p), _bisect_table(p))
+
+    # the seed-0 ``ladder`` and ``wide`` instances of the benchmark
+    @pytest.mark.parametrize("N, n, alpha, path", [
+        (500, 100, 0.05, "_sweep_table"), (365, 292, 0.10, "_sweep_table"),
+        (1000, 500, 0.05, "_sweep_table"), (2000, 1000, 0.05, "_sweep_table"),
+        (5000, 1000, 0.05, "_sweep_table"), (100000, 20, 0.05, "_bisect_table"),
+        (50000, 50, 0.01, "_bisect_table"), (200000, 10, 0.05, "_bisect_table"),
+    ])
+    def test_bench_instance_path(self, monkeypatch, N, n, alpha, path):
+        import hyperci.pivot as pivot
+
+        taken = []
+        for name in ("_bisect_table", "_sweep_table"):
+            monkeypatch.setattr(pivot, name, lambda p, name=name: taken.append(name))
+        pivot_table(Params(N, n, alpha))
+        assert taken == [path]
+
+    # (45, 3, 0.3) bisects; U(1) = 0 < U(0) breaks the monotone endpoints
+    def test_corrupt_bisection_is_an_internal_fault(self, monkeypatch, capsys):
+        import hyperci.pivot as pivot
+        from hyperci.cli import main
+
+        upper_end = pivot._upper_end
+        monkeypatch.setattr(pivot, "_upper_end", lambda x, p: 0 if x == 1 else upper_end(x, p))
+        with pytest.raises(AssertionError, match="pivot table self-check failed"):
+            pivot_table(Params(45, 3, 0.3))
+        code = main(["table", "--N", "45", "--n", "3", "--alpha", "0.3", "--method", "pivot"])
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
