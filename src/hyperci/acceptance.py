@@ -14,6 +14,13 @@ then grow by the greedy rule. The result is the greedy interval itself,
 and the cost per M is the endpoint drift, not |A(M)|. The from-scratch
 greedy is kept as the reference ``oracle.greedy_interval``.
 
+Where n << N the greedy keeps one interval over thousands of M. After
+``_RUN_AFTER`` consecutive M on one interval the sweep bounds a run by
+probes (``_run_end``), and inside it carries only the mass and the two
+weights that the interval-mass identity needs, testing the level and the
+greedy's other per-M conditions exactly at every M. Short runs, and every
+M outside a run, take the per-M moves, which stay the reference for runs.
+
 Every move and the stopping rule are exact integer comparisons, so the
 output is a deterministic function of (N, n, alpha).
 """
@@ -111,6 +118,12 @@ def interval_masses(p: Params, lower, upper) -> Iterator[int]:
         raise AssertionError(DRIFTED)
 
 
+# an interval that the greedy has kept on this many consecutive M may start a
+# run; the longest hold on the ladder of the benchmark is 6, so those builds
+# never pay for the probes that bound a run
+_RUN_AFTER = 32
+
+
 def _greedy_sweep(p: Params) -> tuple:
     """Greedy lists (lower, upper, coverage) for M = 0..floor(N/2), each carried.
 
@@ -124,19 +137,34 @@ def _greedy_sweep(p: Params) -> tuple:
     start of each length is nondecreasing in M; the left slide keeps the
     correction exact from any window. The grow loop stops only once the mass
     attains the level, so coverage[M] = mass / C(N, n) is level-checked.
-    After the last M the carried mass and weights must match
-    interval_weight and weight.
+
+    [a, b] is the greedy interval at M when four conditions hold: (i) it
+    attains the level; (ii) w(a-1) < w(b) and (iii) w(b+1) < w(a), so it is
+    the leftmost max-mass window of its length (window masses are unimodal
+    in the start, the pmf being log-concave; (iii) is strict for the
+    one-point window on mode(M), the right one of tied modes); (iv) [a+1, b]
+    and [a, b-1] both miss the level, so no shorter window attains it.
+    Once an interval has held on ``_RUN_AFTER`` consecutive M with the
+    support at [0, n], the sweep tries a run: ``_run_end`` bounds, by
+    probes, the M on which (iii) and the [a+1, b] half of (iv) hold. Up to
+    that bound each M carries only the mass, w(a-1) and w(b), by the
+    interval-mass identity, and tests the rest exactly: the level, [a, b-1]
+    below it (mass - w(b)) and (ii). The correction moves take over at the
+    first M that fails one, from the carried window. At each run end the
+    mass and w(b) must match interval_weight and weight, and after the last
+    M the carried mass and weights must match them too.
     """
     N, n = p.N, p.n
     num, den = p._alpha_ratio
     total = p.total_weight
     bar = (den - num) * total  # the mass must reach bar / den
+    need = -(-bar // den)  # so mass * den >= bar exactly when mass >= need
+    k = N // 2
     a = b = 0
     w_a = w_b = mass = weight(0, 0, p)
     lower, upper, cov = [], [], []
-    for M in range(N // 2 + 1):
-        if M:
-            a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
+    held = M = 0
+    while True:
         # the support [lo, hi], the neighbour weights w_left = w(a-1) and
         # w_right = w(b+1) (step_down/step_up inlined; both give 0 past the
         # support) and mode(M) below are written out because they run for
@@ -187,12 +215,76 @@ def _greedy_sweep(p: Params) -> tuple:
                 w_a, w_left = w_left, step_down(w_left, M, a, p)
             else:
                 raise AssertionError("full support below the level; corrupt kernels")
+        held = held + 1 if lower and a == lower[-1] and b == upper[-1] else 1
         lower.append(a)
         upper.append(b)
         cov.append(mass / total)
+        if held >= _RUN_AFTER and lo == 0 and hi == n and M < k:
+            stop = _run_end(p, M, a, b, need)
+            if stop > M:
+                # w_left is w(a-1) at M; the run carries it, w_b and the mass
+                for M in range(M, stop):  # from M to M + 1
+                    r = N - M
+                    if w_left:  # w(a-1) is 0 when a = 0
+                        mass += ((n - a + 1) * w_left - (n - b) * w_b) // r
+                        w_left = w_left * ((M + 1) * (r - n + a - 1)) // ((M + 2 - a) * r)
+                    else:
+                        mass -= (n - b) * w_b // r
+                    w_b = w_b * ((M + 1) * (r - n + b)) // ((M + 1 - b) * r)
+                    if mass < need or mass - w_b >= need or w_left >= w_b:
+                        break
+                    cov.append(mass / total)
+                M += 1
+                lower += [a] * (len(cov) - len(lower))
+                upper += [b] * (len(cov) - len(upper))
+                w_a = weight(M, a, p)
+                if mass != interval_weight(M, a, b, p) or w_b != weight(M, b, p):
+                    raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] ending at M={M})")
+                held = 0
+                if len(cov) == M:  # M failed a test: correct the carried window there
+                    continue
+        if M == k:
+            break
+        a, b, w_a, w_b, mass = carry_window(M, a, b, w_a, w_b, mass, p)
+        M += 1
     if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
         raise AssertionError(DRIFTED)
     return lower, upper, cov
+
+
+def _run_end(p: Params, M: int, a: int, b: int, need: int) -> int:
+    """Last M2 >= M such that the greedy's [a, b] at M keeps w(b+1) < w(a) and
+    [a+1, b] below the level (mass < need) on M..M2, with the support [0, n].
+
+    Both are proven from ``weight`` and ``interval_weight`` probes.
+    w(b+1) / w(a) increases with M (the monotone likelihood ratio), so the
+    first holds on a prefix. The mass of [a+1, b] (0 when a = b) rises while
+    (n - a) w(a) > (n - b) w(b), by the interval-mass identity, which also
+    holds on a prefix, and then falls: so the second holds on the whole
+    range if it holds at the peak clamped to the range, and else on a
+    prefix below the peak.
+    """
+    N, n = p.N, p.n
+    stop = _last_true(lambda m: weight(m, b + 1, p) < weight(m, a, p), M, min(N // 2, N - n))
+    if a < b:
+        rising = _last_true(lambda m: (n - a) * weight(m, a, p) > (n - b) * weight(m, b, p),
+                            M, stop)
+        peak = min(rising + 1, stop)
+        if interval_weight(peak, a + 1, b, p) >= need:
+            stop = _last_true(lambda m: interval_weight(m, a + 1, b, p) < need, M, peak)
+    return stop
+
+
+def _last_true(holds, lo: int, hi: int) -> int:
+    """Largest m in [lo, hi] with holds(m') at every lo < m' <= m, for a
+    holds that is true on a prefix of (lo, hi]; by bisection."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def amo_half(p: Params) -> AcceptanceFamily:

@@ -19,7 +19,7 @@ from . import oracle
 from .acceptance import AcceptanceFamily, _mirror
 from .core import Params, mode, support
 from .inversion import _build, acceptance_of, coverage, invert
-from .pivot import pivot_ci, pivot_table
+from .pivot import _sweep_table, pivot_ci, pivot_table
 
 DEFAULT_ALPHAS = (
     Fraction(1, 100),
@@ -228,9 +228,11 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
     ]
     t.hit("coverage-exactness", 1, None if not bad else f"{tag} M={bad[:3]}")
 
-    # pivot table rows equal the per-x binary search; on small N also the
+    # the per-x binary search and pivot_table's rows (the same bisections
+    # when n << N) equal the rows of the sweep over M; on small N also the
     # oracle's linear scan and the monotone-tails premise
-    ok = all(pivot_ci(x, p) == ptbl.interval(x) for x in range(n + 1))
+    sweep = _sweep_table(p)
+    ok = ptbl == sweep and all(pivot_ci(x, p) == sweep.interval(x) for x in range(n + 1))
     t.hit("pivot-consistency", 1, None if ok else f"{tag} pivot rows differ")
     if N <= PIVOT_CAP:
         ok = oracle.pivot_scan(p) == list(zip(ptbl.lower, ptbl.upper))

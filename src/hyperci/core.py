@@ -22,6 +22,9 @@ to ``C(N,n)`` over the support for every M:
   sweep (``acceptance._greedy_sweep``, whose masses are a C* table's stored
   coverage) and ``acceptance.interval_masses``, which serves ``adjust``'s
   level guard and the all-M coverage of other tables (``hyperci coverage``).
+  Inside a run of one greedy interval the sweep applies the same identity
+  inline, to the mass, w(a-1) and w(b) only, and checks the carried mass
+  against ``interval_weight`` where the run ends.
 """
 
 from __future__ import annotations

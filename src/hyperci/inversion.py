@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror
 from .core import Params, attains_level, interval_prob, interval_weight
-from .monotonize import _shift, center_interval
+from .monotonize import _center, _shift
 
 
 class Method(enum.Enum):
@@ -132,11 +132,14 @@ def _build(p: Params) -> tuple:
     trace is ``_shift``'s ``AdjustmentTrace``, the same record that
     ``adjust(amo_half(p))`` returns.
     Each of its invariants is checked once: the level at M = 0..N/2, by the
-    greedy's exit test where an interval is the greedy's, else by an exact
-    sum (the few the shift or the even-N centre moved); the support there,
-    by ``_check_support`` (``_mirror`` maps the support of M onto that of
-    N - M); monotone endpoints in ``_inverse``; reflection symmetry in
-    ``ConfidenceTable``, which a mirror fault that changes a row breaks.
+    greedy's exact test at every M (its grow loop's exit, or a run's per-M
+    test), else by an exact sum for the few intervals the shift moved, and
+    at an even-N centre by the mass its proof summed (``_center``); the
+    carried masses, against ``interval_weight`` at each run end and after
+    the greedy's last M; the support there, by ``_check_support``
+    (``_mirror`` maps the support of M onto that of N - M); monotone
+    endpoints in ``_inverse``; reflection symmetry in ``ConfidenceTable``,
+    which a mirror fault that changes a row breaks.
     p is valid, so a failed check is a program fault (AssertionError).
     """
     try:
@@ -144,17 +147,22 @@ def _build(p: Params) -> tuple:
         lower, upper = list(greedy_lower), list(greedy_upper)
         trace = _shift(lower, upper)
         k = p.N // 2
+        # cov holds the greedy's level-checked masses; an interval the shift
+        # changed is summed again, except an even-N centre, which the centre
+        # replaces with the interval and the mass that its proof summed
+        if lower != greedy_lower or upper != greedy_upper:  # one C-level pass
+            for M in range(k if p.N % 2 == 0 else k + 1):
+                if lower[M] != greedy_lower[M] or upper[M] != greedy_upper[M]:
+                    mass = interval_weight(M, lower[M], upper[M], p)
+                    if not attains_level(mass, p):
+                        raise AssertionError(f"C* family below level at M={M}: {lower[M], upper[M]}")
+                    cov[M] = mass / p.total_weight
         pre_centre = (lower[k], upper[k])
         if p.N % 2 == 0:
-            lower[k], upper[k] = center_interval(p, pre_centre)
-        # cov holds the greedy's level-checked masses; an interval the shift
-        # or the centre changed is summed again
-        for M in range(k + 1):
-            if lower[M] != greedy_lower[M] or upper[M] != greedy_upper[M]:
-                mass = interval_weight(M, lower[M], upper[M], p)
-                if not attains_level(mass, p):
-                    raise AssertionError(f"C* family below level at M={M}: {lower[M], upper[M]}")
-                cov[M] = mass / p.total_weight
+            (lower[k], upper[k]), mass = _center(p, pre_centre)
+            if not attains_level(mass, p):
+                raise AssertionError(f"C* family below level at M={k}: {lower[k], upper[k]}")
+            cov[k] = mass / p.total_weight
         _check_support(p, lower, upper)
         del greedy_lower, greedy_upper  # freed before the full-length lists: peak memory
         lower, upper = _mirror(p, lower, upper)

@@ -1,11 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperci.acceptance as acceptance
 from hyperci import Params, acceptance_of, adjust, amo_half, cstar_table, symmetrize
 from hyperci.acceptance import AcceptanceFamily, _check_support, _mirror
+from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import attains_level, interval_weight, support, weight
 from hyperci.oracle import (
     exact_interval_prob,
@@ -157,6 +160,88 @@ class TestGreedyHalfFamily:
         first = amo_half(p)
         second = amo_half(p)
         assert first == second
+
+
+def sweep_without_runs(p):
+    """``_greedy_sweep`` with the run path switched off: the per-M reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "_RUN_AFTER", math.inf)
+        return acceptance._greedy_sweep(p)
+
+
+def count_runs(monkeypatch):
+    """Patch ``_run_end`` to count the runs it lets start (a bound past M)."""
+    runs = []
+    run_end = acceptance._run_end
+
+    def counted(p, M, *rest):
+        stop = run_end(p, M, *rest)
+        if stop > M:
+            runs.append(stop)
+        return stop
+
+    monkeypatch.setattr(acceptance, "_run_end", counted)
+    return runs
+
+
+# the wide instances of the benchmark (benchmarks/workloads.py)
+WIDE = [(100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05)]
+
+
+class TestGreedyRuns:
+    """Runs of one greedy interval must give the per-M sweep's lists and coverage."""
+
+    # with a run tried at every M (the trigger at its minimum) runs start
+    # even on the smallest instances, where the default never tries one
+    def test_runs_at_every_m_match_the_per_m_sweep(self, monkeypatch):
+        cases = [(N, n, a) for N in range(1, 61) for n in range(1, N + 1) for a in DEFAULT_ALPHAS]
+        want = [sweep_without_runs(Params(*case)) for case in cases]
+        monkeypatch.setattr(acceptance, "_RUN_AFTER", 1)
+        runs = count_runs(monkeypatch)
+        for case, ref in zip(cases, want):
+            assert acceptance._greedy_sweep(Params(*case)) == ref, case
+        assert len(runs) > 5000
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_runs_match_per_m_sweep_and_greedy_on_wide_shapes(self, data):
+        N = data.draw(st.integers(2000, 60000))
+        n = data.draw(st.integers(1, 50))
+        alpha = data.draw(st.sampled_from(list(DEFAULT_ALPHAS) + [0.05, 0.01]))
+        p = Params(N, n, alpha)
+        lower, upper, cov = acceptance._greedy_sweep(p)
+        assert (lower, upper, cov) == sweep_without_runs(p)
+        for M in data.draw(st.lists(st.integers(0, N // 2), min_size=1, max_size=20)):
+            assert (lower[M], upper[M]) == greedy_interval(p, M), M
+
+    # most M of a wide build lie in a run: the per-M carry runs only on the
+    # first _RUN_AFTER M of each interval and where runs end (471, 1182 and
+    # 281 of the 50,001, 25,001 and 100,001 M)
+    def test_wide_instances_take_the_run_path(self, monkeypatch):
+        calls = []
+        carry = acceptance.carry_window
+        monkeypatch.setattr(acceptance, "carry_window", lambda *a: calls.append(1) or carry(*a))
+        for N, n, alpha in WIDE:
+            calls.clear()
+            acceptance._greedy_sweep(Params(N, n, alpha))
+            assert len(calls) < N // 2 // 10, (N, n, alpha)
+
+    # a step_m that drifts by 0.1% corrupts the window a run starts from;
+    # the check at the run's end must catch it, and the CLI exits 3
+    def test_corrupt_kernel_fails_a_run_end_check(self, monkeypatch, capsys):
+        import hyperci.core as core
+        from hyperci.cli import main
+
+        step = core.step_m
+        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * 1001 // 1000)
+        runs = count_runs(monkeypatch)
+        with pytest.raises(AssertionError, match=r"corrupt kernels \(run of"):
+            cstar_table(Params(50000, 50, 0.01))
+        assert runs
+        code = main(["table", "--N", "50000", "--n", "50", "--alpha", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and "run of" in err
 
 
 class TestReflectFull:

@@ -156,6 +156,23 @@ class TestCenterFormulas:
         assert "FAIL center-formulas" in text
 
 
+class TestPivotConsistency:
+    # where pivot_table bisects, it and pivot_ci both run _upper_end, so only
+    # the sweep's rows can show a wrong bisection; N = 40 is past PIVOT_CAP,
+    # so the oracle's scan does not run either
+    def test_mutant_upper_end_fails_on_a_bisected_instance(self, monkeypatch):
+        from hyperci import pivot
+
+        p = Params(40, 2, Fraction(1, 20))
+        assert (p.n + 1) * p.n * p.N.bit_length() < 2 * p.N  # pivot_table bisects
+        upper_end = pivot._upper_end
+        monkeypatch.setattr(pivot, "_upper_end", lambda x, p: min(upper_end(x, p) + 1, p.N))
+        t = certify.Tallies()
+        certify.check_instance(t, p.N, p.n, p.alpha)
+        text = CertificationReport(checks=list(t.values()), grid="(40, 2, 1/20)").render()
+        assert "FAIL pivot-consistency" in text
+
+
 # half families that raise an interval; the default grid (N <= 40) moves none
 SHIFT_CORPUS = [(57, 11, Fraction(1, 20)), (59, 12, Fraction(1, 10)), (60, 12, Fraction(1, 10))]
 

@@ -23,6 +23,7 @@ from hyperci import (
 )
 from hyperci.acceptance import AcceptanceFamily, _mirror
 from hyperci.certify import DEFAULT_ALPHAS
+from hyperci.core import interval_weight
 from hyperci.inversion import ConfidenceTable, _build, _inverse
 from hyperci.monotonize import _shift, center_interval
 
@@ -105,14 +106,16 @@ class TestCstarComposition:
             raised += bool(trace.set_lower)
         assert raised
 
-    # a centre one point narrower on each side is below level; the level
-    # sweep over the inverted family must catch it as a program fault
+    # a centre one point narrower on each side is below level; _build tests
+    # the mass the centre hands it, so it must catch this as a program fault
     def test_below_level_centre_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        monkeypatch.setattr("hyperci.inversion.center_interval",
-                            lambda p, raw: (center_interval(p, raw)[0] + 1,
-                                            center_interval(p, raw)[1] - 1))
+        def narrower(p, raw):
+            h, top = center_interval(p, raw)
+            return (h + 1, top - 1), interval_weight(p.N // 2, h + 1, top - 1, p)
+
+        monkeypatch.setattr("hyperci.inversion._center", narrower)
         with pytest.raises(AssertionError, match="below level at M=20"):
             cstar_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperci import Params, acceptance_of, pivot_ci, pivot_table
-from hyperci.core import interval_weight
+from hyperci.core import interval_weight, weight
 from hyperci.oracle import lower_quantile, pivot_scan
 from hyperci.pivot import _bisect_table, _lower_tail_weight, _sweep_table
 
@@ -112,6 +112,36 @@ class TestPivotSweep:
             _sweep_table(Params(N, n, alpha))
 
 
+def proven_thresholds(tbl):
+    """t(M), the smallest x with P_M(X <= x) > alpha/2, at M = 0..N, read off
+    the rows U(x) of an equal-tail table once each row is proven.
+
+    Each U(x) is checked against its definition, P_U(X <= x) > alpha/2 >=
+    P_{U+1}(X <= x), with a fresh ``interval_weight`` tail T_U and T_{U+1}
+    from the tail identity (N - U)(T_U - T_{U+1}) = (n - x) w_U(x), whose
+    division must be exact; no pivot code runs. Tails fall as M grows, so
+    P_M(X <= x) > alpha/2 exactly when M <= U(x), and t(M) is the least x
+    with U(x) >= M. That is one tail sum per x, where a search per M sums
+    one per M.
+    """
+    p = tbl.params
+    N, n = p.N, p.n
+    num, den = (Fraction(p.alpha) / 2).as_integer_ratio()
+    bar = num * p.total_weight
+    for x, U in enumerate(tbl.upper):
+        tail = interval_weight(U, 0, x, p)
+        assert tail * den > bar, (x, U)
+        if U < N:
+            drop, rest = divmod((n - x) * weight(U, x, p), N - U)
+            assert rest == 0 and (tail - drop) * den <= bar, (x, U)
+    t, x = [], 0
+    for M in range(N + 1):
+        while tbl.upper[x] < M:
+            x += 1
+        t.append(x)
+    return t
+
+
 class TestPivotInversion:
     # the table inverts the equal-tail acceptance intervals
     # A(M) = [t(M), n - t(N - M)], t(M) the smallest x with P_M(X <= x) > alpha/2
@@ -122,8 +152,9 @@ class TestPivotInversion:
                   (2000, 1000, 0.05), (5000, 1000, 0.05)]
         for N, n, alpha in cases:
             p = Params(N, n, alpha)
-            t = [lower_quantile(M, Fraction(p.alpha) / 2, p) for M in range(N + 1)]
-            dual = acceptance_of(pivot_table(p))
+            tbl = pivot_table(p)
+            t = proven_thresholds(tbl)
+            dual = acceptance_of(tbl)
             assert dual.lower == tuple(t), (N, n, alpha)
             assert dual.upper == tuple(n - t[N - M] for M in range(N + 1)), (N, n, alpha)
 
