@@ -7,68 +7,49 @@ items in the population. The main construction inverts minimum-cardinality
 acceptance intervals after shifting them to monotone endpoints and
 symmetrizing; a pivotal-cdf baseline, coverage analysis, and an
 exact-rational certification oracle round out the toolkit.
+
+``import hyperci`` runs no submodule: each exported name loads its module
+on first use (PEP 562) and is then cached here, so ``hyperci.Params``
+loads only ``core``. Only the exports of ``certify`` and ``oracle`` load
+the exact-rational checker.
 """
 
-from .acceptance import AcceptanceFamily, amo_half
-from .certify import CertificationReport, run_certification
-from .core import (
-    Params,
-    interval_prob,
-    mode,
-    pmf,
-    support,
-)
-from .inversion import (
-    ConfidenceTable,
-    Method,
-    acceptance_of,
-    coverage,
-    cstar_table,
-    invert,
-    table_from_csv,
-    table_to_csv,
-    total_size_diff,
-)
-from .monotonize import AdjustmentTrace, adjust, center_interval, symmetrize
-from .oracle import (
-    exact_coverage,
-    exact_interval_prob,
-    min_level_interval,
-    min_symmetric_total,
-    unimodal_peak,
-)
-from .pivot import pivot_ci, pivot_table
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceptanceFamily",
-    "AdjustmentTrace",
-    "CertificationReport",
-    "ConfidenceTable",
-    "Method",
-    "Params",
-    "acceptance_of",
-    "adjust",
-    "amo_half",
-    "center_interval",
-    "coverage",
-    "cstar_table",
-    "exact_coverage",
-    "exact_interval_prob",
-    "interval_prob",
-    "invert",
-    "min_level_interval",
-    "min_symmetric_total",
-    "mode",
-    "pivot_ci",
-    "pivot_table",
-    "pmf",
-    "run_certification",
-    "support",
-    "symmetrize",
-    "table_from_csv",
-    "table_to_csv",
-    "total_size_diff",
-    "unimodal_peak",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "acceptance": ("AcceptanceFamily", "amo_half"),
+        "certify": ("CertificationReport", "run_certification"),
+        "core": ("Params", "interval_prob", "mode", "pmf", "support"),
+        "inversion": (
+            "ConfidenceTable", "Method", "acceptance_of", "coverage", "cstar_table",
+            "invert", "table_from_csv", "table_to_csv", "total_size_diff",
+        ),
+        "monotonize": ("AdjustmentTrace", "adjust", "center_interval", "symmetrize"),
+        "oracle": (
+            "exact_coverage", "exact_interval_prob", "min_level_interval",
+            "min_symmetric_total", "unimodal_peak",
+        ),
+        "pivot": ("pivot_ci", "pivot_table"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,10 @@ pivot dual). Every subcommand runs in one process; compare and certify
 loop over their items (n values, grid instances) in order.
 Alpha is a decimal (a float) or a fraction such as 3/5 (an exact
 rational); certify's --alphas are always exact rationals.
+Each subcommand imports only what it runs: ci, table, coverage and compare
+load core, acceptance, monotonize, inversion and pivot; only certify loads
+the exact-rational checker (certify and oracle), and only an exact alpha
+loads fractions.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from functools import partial
 
-from .certify import DEFAULT_ALPHAS, run_certification
 from .core import AlphaLike, Params
 from .inversion import ConfidenceTable, _half_coverage, cstar_table, table_to_csv
 from .pivot import pivot_ci, pivot_table
@@ -38,7 +40,12 @@ def _params(args) -> Params:
 def _alpha_arg(text: str, exact: bool = False) -> AlphaLike:
     """Alpha in (0, 1): an exact Fraction when exact or written a/b, else a float."""
     try:
-        value = Fraction(text) if exact or "/" in text else float(text)
+        if exact or "/" in text:
+            from fractions import Fraction
+
+            value = Fraction(text)
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0 < value < 1:
@@ -135,10 +142,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certify import DEFAULT_ALPHAS, run_certification
+
     populations = None if args.N_list is None else _parse_int_list(args.N_list)
     report = run_certification(
         max_population=args.max_N,
-        alphas=args.alphas,
+        alphas=DEFAULT_ALPHAS if args.alphas is None else args.alphas,
         populations=populations,
     )
     _write(args, report.render())
@@ -227,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="largest N in the grid (<= 200; default: 40)")
     grid.add_argument("--N-list", help="explicit N values, comma list or range")
     sub.add_argument(
-        "--alphas", nargs="+", type=partial(_alpha_arg, exact=True), default=DEFAULT_ALPHAS,
+        "--alphas", nargs="+", type=partial(_alpha_arg, exact=True),
         help="alpha values in (0, 1) as exact decimals or fractions (e.g. 0.05 3/5)",
     )
     sub.add_argument("--out", help="write the report to this path")

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Union
 
-AlphaLike = Union[float, Fraction]
+# float or fractions.Fraction. Under the __future__ import every annotation
+# is a string, so naming the alias imports neither fractions nor typing.
+AlphaLike = "float | Fraction"
 
 DRIFTED = "carried window mass drifted; corrupt kernels"
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror
 from .core import Params, attains_level, interval_prob, interval_weight
@@ -92,9 +91,10 @@ def _inverse(p: Params, a, b) -> tuple:
 def coverage(tbl: ConfidenceTable, M: int) -> float:
     """P_M(M in C(X)): the chance the reported interval captures M."""
     p = tbl.params
+    N = p.N
+    if tbl._coverage is not None and 0 <= M <= N:  # a C* table, which stores M = 0..N/2
+        return tbl._coverage[M if M + M <= N else N - M]
     p.check_m(M)
-    if tbl._coverage is not None:  # a C* table, which stores M = 0..N/2
-        return tbl._coverage[min(M, p.N - M)]
     # qualifying x form an interval because L and U are nondecreasing
     x_lo = bisect_left(tbl.upper, M)
     x_hi = bisect_right(tbl.lower, M) - 1
@@ -215,6 +215,15 @@ def table_to_csv(tbl: ConfidenceTable, elapsed_s: float = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_alpha(text: str):
+    """A fraction a/b as an exact Fraction (only then is fractions loaded), else a float."""
+    if "/" not in text:
+        return float(text)
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 def table_from_csv(text: str) -> ConfidenceTable:
     """Parse the schema above back into a validated table."""
     meta = {}
@@ -256,7 +265,7 @@ def table_from_csv(text: str) -> ConfidenceTable:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"metadata header has a bad value {key}={meta[key]}") from None
 
-    alpha = value("alpha", lambda v: Fraction(v) if "/" in v else float(v))
+    alpha = value("alpha", _parse_alpha)
     p = Params(value("N", int), value("n", int), alpha)
     method = value("method", Method)
     rows.sort()

@@ -159,7 +159,8 @@ class TestCenterFormulas:
 class TestPivotConsistency:
     # where pivot_table bisects, it and pivot_ci both run _upper_end, so only
     # the sweep's rows can show a wrong bisection; N = 40 is past PIVOT_CAP,
-    # so the oracle's scan does not run either
+    # so the oracle's scan does not run either. The build's own certificate
+    # rejects these rows first, so it is switched off to reach certify's check.
     def test_mutant_upper_end_fails_on_a_bisected_instance(self, monkeypatch):
         from hyperci import pivot
 
@@ -167,6 +168,9 @@ class TestPivotConsistency:
         assert (p.n + 1) * p.n * p.N.bit_length() < 2 * p.N  # pivot_table bisects
         upper_end = pivot._upper_end
         monkeypatch.setattr(pivot, "_upper_end", lambda x, p: min(upper_end(x, p) + 1, p.N))
+        with pytest.raises(AssertionError, match="fails its definition"):
+            pivot.pivot_table(p)
+        monkeypatch.setattr(pivot, "_certify_rows", lambda p, upper: None)
         t = certify.Tallies()
         certify.check_instance(t, p.N, p.n, p.alpha)
         text = CertificationReport(checks=list(t.values()), grid="(40, 2, 1/20)").render()

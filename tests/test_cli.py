@@ -395,6 +395,14 @@ class TestCertify:
         assert code == 0
         assert "RESULT: all checks passed" in out
 
+    # without --alphas, cmd_certify passes certify's own DEFAULT_ALPHAS
+    def test_default_alphas_match_the_library(self, capsys):
+        from hyperci import run_certification
+
+        code, out, _ = run(capsys, "certify", "--max-N", "6")
+        assert code == 0
+        assert out == run_certification(max_population=6).render()
+
     def test_adversarial_gap_reported(self, capsys):
         code, out, _ = run(
             capsys, "certify", "--N-list", "20", "--alphas", "3/5"
@@ -435,8 +443,9 @@ class TestCertify:
 
         bad = Tally("demo")
         bad.add(1, "boom")
+        # cmd_certify imports run_certification from hyperci.certify when it runs
         monkeypatch.setattr(
-            "hyperci.cli.run_certification",
+            "hyperci.certify.run_certification",
             lambda **kw: CertificationReport(checks=[bad], grid="demo"),
         )
         code, out, _ = run(capsys, "certify", "--max-N", "6")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hyperci import Params, acceptance_of, pivot_ci, pivot_table
 from hyperci.core import interval_weight, weight
 from hyperci.oracle import lower_quantile, pivot_scan
-from hyperci.pivot import _bisect_table, _lower_tail_weight, _sweep_table
+from hyperci.pivot import _bisect_table, _certify_rows, _lower_tail_weight, _sweep_table
 
 from reference_tables import COMPETITOR_L, COMPETITOR_U
 
@@ -232,6 +232,39 @@ class TestPivotPaths:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    # scaled by 1001/1000, the tail kernel bisects (100000, 20, 0.05) to 20
+    # wrong U(x) of 21 that pass every structural check of a table
+    def test_corrupt_tail_kernel_fails_the_certificate(self, monkeypatch, capsys):
+        import hyperci.pivot as pivot
+        from hyperci.cli import main
+
+        p = Params(100000, 20, 0.05)
+        upper = pivot_table(p).upper
+        kernel = pivot.interval_weight
+        monkeypatch.setattr(pivot, "interval_weight",
+                            lambda M, a, b, p: kernel(M, a, b, p) * 1001 // 1000)
+        assert sum(pivot._upper_end(x, p) != upper[x] for x in range(p.n + 1)) == 20
+        with pytest.raises(AssertionError, match="fails its definition; corrupt kernels"):
+            pivot_table(p)
+        code = main(["table", "--N", "100000", "--n", "20", "--alpha", "0.05",
+                     "--method", "pivot"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: pivot row U(0)") and err.count("\n") == 1
+
+    # U(x) is the largest M with T_M(x) > alpha/2, so U(x) + 1 and U(x) - 1 both fail
+    @pytest.mark.parametrize("N, n, alpha", [
+        (45, 3, 0.3), (100000, 20, 0.05), (50000, 50, Fraction(1, 100)),
+    ])
+    def test_certificate_rejects_each_row_moved_by_one(self, N, n, alpha):
+        p = Params(N, n, alpha)
+        upper = _bisect_table(p).upper
+        for x in range(n + 1):
+            for u in (upper[x] - 1, upper[x] + 1):
+                if 0 <= u <= N:
+                    with pytest.raises(AssertionError, match=f"U\\({x}\\) = {u} fails"):
+                        _certify_rows(p, upper[:x] + (u,) + upper[x + 1:])
 
 
 class TestTailMonotonicity:
