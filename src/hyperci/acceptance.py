@@ -14,12 +14,17 @@ then grow by the greedy rule. The result is the greedy interval itself,
 and the cost per M is the endpoint drift, not |A(M)|. The from-scratch
 greedy is kept as the reference ``oracle.greedy_interval``.
 
-Where n << N the greedy keeps one interval over thousands of M. After
-``_RUN_AFTER`` consecutive M on one interval the sweep bounds a run by
-probes (``_run_end``), and inside it carries only the mass and the two
-weights that the interval-mass identity needs, testing the level and the
-greedy's other per-M conditions exactly at every M. Short runs, and every
-M outside a run, take the per-M moves, which stay the reference for runs.
+The sweep emits runs: one (last M, a, b) each time the interval changes,
+so a family is three run lists, and the later stages (``_check_support``,
+``_mirror``, ``monotonize._shift``, ``inversion._inverse``) work one step
+per run; a per-M list is the special case of one M per run. Where n << N
+the greedy keeps one interval over thousands of M. After ``_RUN_AFTER``
+consecutive M on one interval the sweep bounds a run by probes
+(``_run_end``), which prove every per-M condition of the greedy but the
+level on the whole run; inside it the mass moves by the two terms of the
+interval-mass identity and the level is tested exactly at every M. Short
+runs, and every M outside a run, take the per-M moves, which stay the
+reference for runs.
 
 Every move and the stopping rule are exact integer comparisons, so the
 output is a deterministic function of (N, n, alpha).
@@ -27,9 +32,12 @@ output is a deterministic function of (N, n, alpha).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import le
+from itertools import chain, repeat
+from math import perm
+from operator import add, le, sub
 
 from .core import DRIFTED, Params, carry_window, interval_weight, step_down, step_up, weight
 
@@ -39,7 +47,8 @@ class AcceptanceFamily:
     """Per-M acceptance intervals [lower[M], upper[M]] for M = 0..len-1.
 
     The constructor checks only the support, by ``_check_support`` (the C*
-    build runs it on its half); ``inversion._build`` lists the others.
+    build runs it once per run of its half); ``inversion._build_runs`` lists
+    the others.
     """
 
     params: Params
@@ -69,17 +78,31 @@ class AcceptanceFamily:
         return list(interval_masses(self.params, self.lower, self.upper))
 
 
-def _check_support(p: Params, lower, upper) -> None:
-    """Raise ValueError unless lo <= lower[M] <= upper[M] <= hi at each M."""
+def _check_support(p: Params, lower, upper, ends=None) -> None:
+    """Raise ValueError unless lo(M) <= a <= b <= hi(M) at each M of each run.
+
+    Run r is [lower[r], upper[r]] on M1..M2 = ends[r-1]+1..ends[r], and run 0
+    starts at M = 0 (ends None: one M per entry). Both support bounds are
+    nondecreasing in M, so a run stays in its supports when a >= lo(M2) and
+    b <= hi(M1).
+    """
     N, n = p.N, p.n
-    # C-level passes first; the loop runs only on failure, to name the first bad M
-    tail = lower[N - n:]  # M >= N - n, where lo(M) = M - (N - n)
+    if ends is None:
+        ends = starts = range(len(lower))
+    else:
+        starts = [0, *[e + 1 for e in ends[:-1]]]
+    # C-level passes first, a >= lo(M2) = M2 - (N - n) only where that is
+    # positive; the loop runs only on failure, to name the first bad M
+    tail = bisect_right(ends, N - n)
     if (min(lower, default=0) >= 0 and max(upper, default=0) <= n and all(map(le, lower, upper))
-            and all(map(le, upper, range(len(upper)))) and all(map(le, range(len(tail)), tail))):
+            and all(map(le, upper, starts))
+            and all(map(le, ends[tail:], map(add, lower[tail:], repeat(N - n))))):
         return
-    for M, (a, b) in enumerate(zip(lower, upper)):
-        lo, hi = max(0, M + n - N), min(M, n)
-        if not lo <= a <= b <= hi:
+    for M1, M2, a, b in zip(starts, ends, lower, upper):
+        if not max(0, M2 + n - N) <= a <= b <= min(M1, n):
+            # b > hi and a > b fail first at M1, a < lo first where lo passes a
+            M = M1 if a < 0 or a > b or b > min(M1, n) else max(M1, a + N - n + 1)
+            lo, hi = max(0, M + n - N), min(M, n)
             raise ValueError(f"interval [{a}, {b}] at M={M} leaves the support [{lo}, {hi}]")
 
 
@@ -125,7 +148,11 @@ _RUN_AFTER = 32
 
 
 def _greedy_sweep(p: Params) -> tuple:
-    """Greedy lists (lower, upper, coverage) for M = 0..floor(N/2), each carried.
+    """Greedy runs (lower, upper, ends) and per-M coverage for M = 0..floor(N/2).
+
+    Run r is the interval [lower[r], upper[r]] on M = ends[r-1]+1..ends[r];
+    a run is emitted each time the interval changes. coverage[M] is the
+    interval's carried mass over C(N, n) at each M.
 
     M = 0 starts from its one-point support {0}. Each later M takes the
     previous window (a, b, w_a, w_b, mass) through ``carry_window``, then
@@ -145,25 +172,32 @@ def _greedy_sweep(p: Params) -> tuple:
     one-point window on mode(M), the right one of tied modes); (iv) [a+1, b]
     and [a, b-1] both miss the level, so no shorter window attains it.
     Once an interval has held on ``_RUN_AFTER`` consecutive M with the
-    support at [0, n], the sweep tries a run: ``_run_end`` bounds, by
-    probes, the M on which (iii) and the [a+1, b] half of (iv) hold. Up to
-    that bound each M carries only the mass, w(a-1) and w(b), by the
-    interval-mass identity, and tests the rest exactly: the level, [a, b-1]
-    below it (mass - w(b)) and (ii). The correction moves take over at the
-    first M that fails one, from the carried window. At each run end the
-    mass and w(b) must match interval_weight and weight, and after the last
-    M the carried mass and weights must match them too.
+    support at [0, n], the sweep tries a run: ``_run_end`` proves (ii),
+    (iii) and (iv) by probes on M..M2. Up to M2 each M moves the mass by the
+    two terms of the interval-mass identity,
+    t(M) = (n-b) w_M(b) / (N-M) = C(M, b) C(N-M-1, n-b-1) and
+    u(M) = (n-a+1) w_M(a-1) / (N-M) = C(M, a-1) C(N-M-1, n-a),
+    mass(M+1) = mass(M) + u(M) - t(M), each term stepped to M+1 by one exact
+    multiply-divide, and tests the level exactly (mass >= need). The
+    correction moves take over at the first M below the level, from the
+    carried window. At each run end the mass must match interval_weight and
+    t must match weight, and after the last M the carried mass and weights
+    must match them too.
     """
     N, n = p.N, p.n
     num, den = p._alpha_ratio
     total = p.total_weight
-    bar = (den - num) * total  # the mass must reach bar / den
-    need = -(-bar // den)  # so mass * den >= bar exactly when mass >= need
+    # the level is mass / C(N, n) >= 1 - num / den, that is mass * den >= bar,
+    # exactly when mass >= need (one integer compare per test)
+    bar = (den - num) * total
+    need = -(-bar // den)
     k = N // 2
     a = b = 0
     w_a = w_b = mass = weight(0, 0, p)
-    lower, upper, cov = [], [], []
-    held = M = 0
+    lower, upper, ends, cov = [0], [0], [], []  # M = 0 has the one interval [0, 0]
+    M = a0 = b0 = 0  # [a0, b0] is the interval of the current run
+    after = _RUN_AFTER - 1
+    run_from = after  # the M from which the current interval may start a run
     while True:
         # the support [lo, hi], the neighbour weights w_left = w(a-1) and
         # w_right = w(b+1) (step_down/step_up inlined; both give 0 past the
@@ -188,13 +222,13 @@ def _greedy_sweep(p: Params) -> tuple:
             w_right = step_up(w_b, M, b, p)
         while a < b:  # shrink, dropping the lighter end (the right on ties)
             if w_b <= w_a:
-                if (mass - w_b) * den < bar:
+                if mass - w_b < need:
                     break
                 mass -= w_b
                 w_right, w_b = w_b, step_down(w_b, M, b, p)
                 b -= 1
             else:
-                if (mass - w_a) * den < bar:
+                if mass - w_a < need:
                     break
                 mass -= w_a
                 w_left, w_a = w_a, step_up(w_a, M, a, p)
@@ -204,7 +238,7 @@ def _greedy_sweep(p: Params) -> tuple:
             w_left, w_a = w_a, w_right
             a = b = a + 1
             w_b, w_right = w_a, step_up(w_a, M, a, p)
-        while mass * den < bar:  # grow: the heavier neighbour, left on ties
+        while mass < need:  # grow: the heavier neighbour, left on ties
             if b < hi and w_right > w_left:
                 b += 1
                 mass += w_right
@@ -215,33 +249,33 @@ def _greedy_sweep(p: Params) -> tuple:
                 w_a, w_left = w_left, step_down(w_left, M, a, p)
             else:
                 raise AssertionError("full support below the level; corrupt kernels")
-        held = held + 1 if lower and a == lower[-1] and b == upper[-1] else 1
-        lower.append(a)
-        upper.append(b)
+        if a != a0 or b != b0:  # a new run: the previous one ended at M - 1
+            ends.append(M - 1)
+            lower.append(a)
+            upper.append(b)
+            a0, b0 = a, b
+            run_from = M + after
         cov.append(mass / total)
-        if held >= _RUN_AFTER and lo == 0 and hi == n and M < k:
+        if M >= run_from and lo == 0 and hi == n and M < k:
             stop = _run_end(p, M, a, b, need)
             if stop > M:
-                # w_left is w(a-1) at M; the run carries it, w_b and the mass
-                for M in range(M, stop):  # from M to M + 1
+                # w_left is w(a-1) at M; both divisions are exact
+                t = (n - b) * w_b // (N - M)
+                u = (n - a + 1) * w_left // (N - M)  # 0 when a = 0
+                # t(M)/t(M-1) = M (N-M+1-n+b) / ((M-b)(N-M)), u(M)/u(M-1) likewise
+                tb, ua = N - n + b + 1, N - n + a
+                for M in range(M + 1, stop + 1):
+                    mass += u - t
                     r = N - M
-                    if w_left:  # w(a-1) is 0 when a = 0
-                        mass += ((n - a + 1) * w_left - (n - b) * w_b) // r
-                        w_left = w_left * ((M + 1) * (r - n + a - 1)) // ((M + 2 - a) * r)
-                    else:
-                        mass -= (n - b) * w_b // r
-                    w_b = w_b * ((M + 1) * (r - n + b)) // ((M + 1 - b) * r)
-                    if mass < need or mass - w_b >= need or w_left >= w_b:
+                    t = t * (M * (tb - M)) // ((M - b) * r)
+                    u = u * (M * (ua - M)) // ((M + 1 - a) * r)
+                    if mass < need:
                         break
                     cov.append(mass / total)
-                M += 1
-                lower += [a] * (len(cov) - len(lower))
-                upper += [b] * (len(cov) - len(upper))
-                w_a = weight(M, a, p)
-                if mass != interval_weight(M, a, b, p) or w_b != weight(M, b, p):
+                w_a, w_b = weight(M, a, p), weight(M, b, p)
+                if mass != interval_weight(M, a, b, p) or t * (N - M) != (n - b) * w_b:
                     raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] ending at M={M})")
-                held = 0
-                if len(cov) == M:  # M failed a test: correct the carried window there
+                if len(cov) == M:  # M is below the level: correct the carried window there
                     continue
         if M == k:
             break
@@ -249,30 +283,58 @@ def _greedy_sweep(p: Params) -> tuple:
         M += 1
     if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
         raise AssertionError(DRIFTED)
-    return lower, upper, cov
+    ends.append(k)
+    return lower, upper, ends, cov
 
 
 def _run_end(p: Params, M: int, a: int, b: int, need: int) -> int:
-    """Last M2 >= M such that the greedy's [a, b] at M keeps w(b+1) < w(a) and
-    [a+1, b] below the level (mass < need) on M..M2, with the support [0, n].
+    """Last M2 >= M such that the greedy's [a, b] at M stays the greedy's
+    on M..M2 wherever it attains the level, with the support at [0, n].
 
-    Both are proven from ``weight`` and ``interval_weight`` probes.
-    w(b+1) / w(a) increases with M (the monotone likelihood ratio), so the
-    first holds on a prefix. The mass of [a+1, b] (0 when a = b) rises while
-    (n - a) w(a) > (n - b) w(b), by the interval-mass identity, which also
-    holds on a prefix, and then falls: so the second holds on the whole
-    range if it holds at the peak clamped to the range, and else on a
-    prefix below the peak.
+    Each condition but the level (``_greedy_sweep`` lists them) holds at M,
+    and each is proven on M..M2 by exact integer probes:
+    - (ii) w(a-1) < w(b): w(a-1) / w(b) falls as M rises (the monotone
+      likelihood ratio), so it holds on all of M..M2 from M on; no probe.
+    - (iii) w(b+1) < w(a): w(b+1) / w(a) rises with M, so it holds on a
+      prefix, found by bisection.
+    - (iv) [a+1, b] and [a, b-1] miss the level (mass < need): by the
+      interval-mass identity the mass of [a+1, b] rises while
+      (n-a) w(a) > (n-b) w(b), and that of [a, b-1] while
+      (n-a+1) w(a-1) > (n-b+1) w(b-1), each on a prefix, and then falls. So
+      each misses on the whole range if it misses at its peak clamped to
+      the range, and else on a prefix below the peak.
+    A weight comparison c_x w(x) > c_y w(y) is tested through the exact
+    ratio w(y) / w(x) (``_heavier``), two ``math.perm`` per probe.
     """
     N, n = p.N, p.n
-    stop = _last_true(lambda m: weight(m, b + 1, p) < weight(m, a, p), M, min(N // 2, N - n))
+    stop = _last_true(_heavier(p, a, b + 1, 1, 1), M, min(N // 2, N - n))
     if a < b:
-        rising = _last_true(lambda m: (n - a) * weight(m, a, p) > (n - b) * weight(m, b, p),
-                            M, stop)
-        peak = min(rising + 1, stop)
-        if interval_weight(peak, a + 1, b, p) >= need:
-            stop = _last_true(lambda m: interval_weight(m, a + 1, b, p) < need, M, peak)
+        rising = stop
+        # at a = 0, w(a-1) = 0: the mass of [a, b-1] never rises, and misses from M on
+        for lo, hi in [(a + 1, b), (a, b - 1)] if a else [(a + 1, b)]:
+            # [lo, hi] rises while (n-lo+1) w(lo-1) > (n-hi) w(hi); [a, b-1]
+            # rises only where [a+1, b] does (w(b)/w(a) < w(b-1)/w(a-1) by
+            # log-concavity), so its bisection starts below [a+1, b]'s bound
+            rising = _last_true(_heavier(p, lo - 1, hi, n - lo + 1, n - hi), M, min(rising, stop))
+            peak = min(rising + 1, stop)
+            if interval_weight(peak, lo, hi, p) >= need:
+                stop = _last_true(lambda m: interval_weight(m, lo, hi, p) < need, M, peak)
     return stop
+
+
+def _heavier(p: Params, x: int, y: int, cx: int, cy: int):
+    """m -> cx w_m(x) > cy w_m(y) for 0 <= x < y <= n + 1, exactly, at any m
+    with support [0, n].
+
+    w_m(y) / w_m(x) = perm(m-x, d) perm(n-x, d) / (perm(y, d) perm(N-m-n+y, d)),
+    d = y - x (the product of the step_up ratios), so the test compares two
+    products of d factors each; w_m(n+1) = 0 because perm(n-x, d) = 0.
+    """
+    N, n = p.N, p.n
+    d = y - x
+    left, right = cx * perm(y, d), cy * perm(n - x, d)
+    s = N - n + y
+    return lambda m: left * perm(s - m, d) > right * perm(m - x, d)
 
 
 def _last_true(holds, lo: int, hi: int) -> int:
@@ -289,24 +351,35 @@ def _last_true(holds, lo: int, hi: int) -> int:
 
 def amo_half(p: Params) -> AcceptanceFamily:
     """Greedy acceptance intervals for M = 0..floor(N/2), in one sweep."""
-    lower, upper, _ = _greedy_sweep(p)
-    return AcceptanceFamily(p, tuple(lower), tuple(upper))
+    lower, upper, ends, _ = _greedy_sweep(p)
+    return AcceptanceFamily(p, *_per_m(ends, lower, upper))
 
 
-def _mirror(p: Params, lower, upper) -> tuple:
-    """Endpoint lists over M = 0..N from half lists over 0..floor(N/2).
+def _per_m(ends, *runs) -> tuple:
+    """Per-M tuples of run lists: each run's value repeated over its M."""
+    counts = list(map(sub, ends, [-1, *ends[:-1]]))
+    return tuple(tuple(chain.from_iterable(map(repeat, values, counts))) for values in runs)
 
-    M <= N/2 keeps the half's interval; M > N/2 takes the reflection
-    a_M = n - b_{N-M}, b_M = n - a_{N-M}.
-    ``symmetrize``, ``inversion._build`` and certify's ``reflect-level``
+
+def _mirror(p: Params, lower, upper, ends=None) -> tuple:
+    """Run lists (lower, upper, ends) over M = 0..N from half runs over 0..floor(N/2).
+
+    M <= N/2 keeps the half's runs; M > N/2 takes the reflection
+    a_M = n - b_{N-M}, b_M = n - a_{N-M}: a half run on M1..M2 is mirrored
+    onto N-M2..N-M1, and at even N the run that holds N/2 is mirrored
+    without it. ends None: one M per entry, and the full lists are per M.
+    ``symmetrize``, ``inversion._build_runs`` and certify's ``reflect-level``
     check all reflect through it.
     """
     N, n = p.N, p.n
     k = N // 2
-    if len(lower) != k + 1:
-        raise ValueError(f"expected a half-family over 0..{k}, got length {len(lower)}")
-    below = (N + 1) // 2  # the M < N/2 that the upper half mirrors
-    full_lower = list(lower) + [n - b for b in reversed(upper[:below])]
-    full_upper = list(upper) + [n - a for a in reversed(lower[:below])]
-    return full_lower, full_upper
-
+    if ends is None:
+        ends = range(len(lower))
+    if ends[-1] != k:
+        raise ValueError(f"expected a half-family over 0..{k}, got one over 0..{ends[-1]}")
+    # the runs that start below N/2, the M < N/2 that the upper half mirrors
+    r = bisect_left(ends, (N + 1) // 2 - 1) + 1
+    full_ends = [*ends, *[N - 1 - e for e in reversed(ends[:r - 1])], N]
+    full_lower = [*lower, *[n - b for b in upper[r - 1::-1]]]
+    full_upper = [*upper, *[n - a for a in lower[r - 1::-1]]]
+    return full_lower, full_upper, full_ends

@@ -22,9 +22,12 @@ to ``C(N,n)`` over the support for every M:
   sweep (``acceptance._greedy_sweep``, whose masses are a C* table's stored
   coverage) and ``acceptance.interval_masses``, which serves ``adjust``'s
   level guard and the all-M coverage of other tables (``hyperci coverage``).
-  Inside a run of one greedy interval the sweep applies the same identity
-  inline, to the mass, w(a-1) and w(b) only, and checks the carried mass
-  against ``interval_weight`` where the run ends.
+  Inside a run of one greedy interval [a, b] the sweep carries the
+  identity's two terms instead of the weights, t(M) = (n-b) w_M(b)/(N-M) =
+  C(M, b) C(N-M-1, n-b-1) and u(M) = (n-a+1) w_M(a-1)/(N-M) =
+  C(M, a-1) C(N-M-1, n-a): each M is mass += u - t and one exact
+  multiply-divide per term, and the run's end checks the carried mass
+  against ``interval_weight`` and t against ``weight``.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 C(x) = {M : x in A(M)}; with nondecreasing endpoints it is an interval
 [L(x), U(x)], L(x) = min{M : b_M >= x} and U(x) = max{M : a_M <= x}: two
-bisections of the sorted endpoint lists per x. ``_inverse`` is that
-inversion, and the only one: ``invert``, ``cstar_table`` and
-``pivot_table`` all run it.
+bisections of the sorted endpoint lists per x, which may hold one entry
+per run of M with one interval. ``_inverse`` is that inversion, and the
+only one: ``invert``, ``cstar_table`` and ``pivot_table`` all run it.
 
-``cstar_table`` is ``_build(p)[0]``; ``_build``'s docstring lists where it
-checks each invariant. Its level masses over C(N, n) are the coverage at
+``cstar_table`` is ``_build_runs(p)[0]``, the C* pipeline on the greedy's
+runs; ``_build_runs``'s docstring lists where it checks each invariant,
+and ``_build`` expands its family to per-M lists for certify and tests.
+Its level masses over C(N, n) are the coverage at
 M = 0..N/2 (``invert(fam)`` has dual ``fam``; coverage(N - M) =
 coverage(M)), so the table keeps them; other tables are summed per M, or
 over the half in one sweep of their dual (``_half_coverage``).
@@ -19,7 +21,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror
+from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror, _per_m
 from .core import Params, attains_level, interval_prob, interval_weight
 from .monotonize import _center, _shift
 
@@ -69,23 +71,31 @@ def invert(fam: AcceptanceFamily, method: Method = Method.CSTAR) -> ConfidenceTa
     return ConfidenceTable(fam.params, method, *_inverse(fam.params, fam.lower, fam.upper))
 
 
-def _inverse(p: Params, a, b) -> tuple:
-    """Endpoint tuples (L, U) inverting the family [a[M], b[M]], M = 0..N.
+def _inverse(p: Params, a, b, ends=None) -> tuple:
+    """Endpoint tuples (L, U) inverting the family [a[r], b[r]] on the runs
+    M = ends[r-1]+1..ends[r] that cover M = 0..N (ends None: one M per entry).
 
-    Every family here lies in its supports, so a[0] = 0 and b[N] = n (M = 0
-    and M = N have one-point supports): each x has some b_M >= x and some
-    a_M <= x. An x that no interval contains gets L(x) > U(x); every caller
+    L(x) is the first M of the first run with b >= x and U(x) the last M of
+    the last run with a <= x: two bisections of the run lists per x.
+    Every family here lies in its supports, so a[0] = 0 and b[-1] = n (M = 0
+    and M = N have one-point supports): each x has some b >= x and some
+    a <= x. An x that no interval contains gets L(x) > U(x); every caller
     builds a ``ConfidenceTable`` from the rows, which rejects such a row.
     """
     N, n = p.N, p.n
-    if len(a) != N + 1 or len(b) != N + 1:
+    # bounds[r] + 1 is the first M of run r and bounds[r + 1] its last
+    bounds = range(-1, len(a)) if ends is None else [-1, *ends]
+    if not len(a) == len(b) == len(bounds) - 1 or bounds[-1] != N:
         raise ValueError("family must cover M = 0..N")
     if list(a) != sorted(a) or list(b) != sorted(b):  # sorting a sorted list is one C pass
-        M = next(M for M in range(N) if a[M] > a[M + 1] or b[M] > b[M + 1])
-        raise ValueError(f"family endpoints not nondecreasing at M={M}; "
+        r = next(r for r in range(len(a) - 1) if a[r] > a[r + 1] or b[r] > b[r + 1])
+        raise ValueError(f"family endpoints not nondecreasing at M={bounds[r + 1]}; "
                          "inversion would not be interval-valued")
     xs = range(n + 1)
-    return tuple([bisect_left(b, x) for x in xs]), tuple([bisect_right(a, x) - 1 for x in xs])
+    if ends is None:  # one M per entry: the run index is M
+        return tuple([bisect_left(b, x) for x in xs]), tuple([bisect_right(a, x) - 1 for x in xs])
+    return (tuple([bounds[bisect_left(b, x)] + 1 for x in xs]),
+            tuple([bounds[bisect_right(a, x)] for x in xs]))
 
 
 def coverage(tbl: ConfidenceTable, M: int) -> float:
@@ -121,54 +131,72 @@ def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
 
 
 def cstar_table(p: Params) -> ConfidenceTable:
-    """``invert(symmetrize(adjust(amo_half(p))[0], p))``, run on endpoint lists."""
-    return _build(p)[0]
+    """``invert(symmetrize(adjust(amo_half(p))[0], p))``, run on run lists."""
+    return _build_runs(p)[0]
 
 
 def _build(p: Params) -> tuple:
-    """(table, lower, upper, trace, A(N//2) before the centre).
+    """(table, lower, upper, trace, A(N//2) before the centre), with the
+    family as per-M tuples over M = 0..N: ``_build_runs`` expanded."""
+    tbl, lower, upper, ends, trace, pre_centre = _build_runs(p)
+    return (tbl, *_per_m(ends, lower, upper), trace, pre_centre)
 
-    lower and upper are the family over M = 0..N that the table inverts;
-    trace is ``_shift``'s ``AdjustmentTrace``, the same record that
-    ``adjust(amo_half(p))`` returns.
+
+def _build_runs(p: Params) -> tuple:
+    """(table, lower, upper, ends, trace, A(N//2) before the centre).
+
+    lower, upper and ends are the run lists of the family over M = 0..N
+    that the table inverts (run r is [lower[r], upper[r]] on
+    M = ends[r-1]+1..ends[r]); trace is ``_shift``'s ``AdjustmentTrace``,
+    the same per-M record that ``adjust(amo_half(p))`` returns. Every stage
+    after the greedy takes one step per run.
     Each of its invariants is checked once: the level at M = 0..N/2, by the
     greedy's exact test at every M (its grow loop's exit, or a run's per-M
-    test), else by an exact sum for the few intervals the shift moved, and
-    at an even-N centre by the mass its proof summed (``_center``); the
+    test), else by an exact sum at each M of a run the shift moved, and at
+    an even-N centre by the mass its proof summed (``_center``); the
     carried masses, against ``interval_weight`` at each run end and after
-    the greedy's last M; the support there, by ``_check_support``
-    (``_mirror`` maps the support of M onto that of N - M); monotone
-    endpoints in ``_inverse``; reflection symmetry in ``ConfidenceTable``,
-    which a mirror fault that changes a row breaks.
+    the greedy's last M; the support, by ``_check_support`` once per run of
+    the half (``_mirror`` maps the support of M onto that of N - M);
+    monotone endpoints in ``_inverse``, once per run; reflection symmetry
+    in ``ConfidenceTable``, which a mirror fault that changes a row breaks.
     p is valid, so a failed check is a program fault (AssertionError).
     """
     try:
-        greedy_lower, greedy_upper, cov = _greedy_sweep(p)
+        greedy_lower, greedy_upper, ends, cov = _greedy_sweep(p)
         lower, upper = list(greedy_lower), list(greedy_upper)
-        trace = _shift(lower, upper)
-        k = p.N // 2
-        # cov holds the greedy's level-checked masses; an interval the shift
-        # changed is summed again, except an even-N centre, which the centre
-        # replaces with the interval and the mass that its proof summed
+        trace = _shift(lower, upper, ends)
+        N, k = p.N, p.N // 2
+        # cov holds the greedy's level-checked masses; each M of a run the
+        # shift moved is summed again, except an even-N centre, which the
+        # centre replaces with the interval and the mass that its proof summed
         if lower != greedy_lower or upper != greedy_upper:  # one C-level pass
-            for M in range(k if p.N % 2 == 0 else k + 1):
-                if lower[M] != greedy_lower[M] or upper[M] != greedy_upper[M]:
-                    mass = interval_weight(M, lower[M], upper[M], p)
-                    if not attains_level(mass, p):
-                        raise AssertionError(f"C* family below level at M={M}: {lower[M], upper[M]}")
-                    cov[M] = mass / p.total_weight
-        pre_centre = (lower[k], upper[k])
-        if p.N % 2 == 0:
-            (lower[k], upper[k]), mass = _center(p, pre_centre)
+            last = k - 1 if N % 2 == 0 else k
+            for r, (a, b) in enumerate(zip(lower, upper)):
+                if a != greedy_lower[r] or b != greedy_upper[r]:
+                    for M in range(ends[r - 1] + 1 if r else 0, min(ends[r], last) + 1):
+                        mass = interval_weight(M, a, b, p)
+                        if not attains_level(mass, p):
+                            raise AssertionError(f"C* family below level at M={M}: {a, b}")
+                        cov[M] = mass / p.total_weight
+        pre_centre = (lower[-1], upper[-1])
+        if N % 2 == 0:
+            centre, mass = _center(p, pre_centre)
             if not attains_level(mass, p):
-                raise AssertionError(f"C* family below level at M={k}: {lower[k], upper[k]}")
+                raise AssertionError(f"C* family below level at M={k}: {centre}")
             cov[k] = mass / p.total_weight
-        _check_support(p, lower, upper)
+            if len(ends) > 1 and ends[-2] == k - 1:  # the last run is the centre alone
+                lower[-1], upper[-1] = centre
+            else:  # the centre splits it
+                ends[-1] = k - 1
+                ends.append(k)
+                lower.append(centre[0])
+                upper.append(centre[1])
+        _check_support(p, lower, upper, ends)
         del greedy_lower, greedy_upper  # freed before the full-length lists: peak memory
-        lower, upper = _mirror(p, lower, upper)
-        tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(p, lower, upper))
+        lower, upper, ends = _mirror(p, lower, upper, ends)
+        tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(p, lower, upper, ends))
         object.__setattr__(tbl, "_coverage", tuple(cov))
-        return tbl, lower, upper, trace, pre_centre
+        return tbl, lower, upper, ends, trace, pre_centre
     except ValueError as e:  # p is valid, so a failed self-check is a program fault
         raise AssertionError(f"C* pipeline self-check failed: {e}") from e
 

@@ -11,9 +11,11 @@ and, for even N, replaces the middle entry by the shortest interval
 [h, n-h] symmetric about n/2 that still holds 1 - alpha mass.
 
 ``adjust`` and ``symmetrize`` wrap the list helpers that ``cstar_table``
-runs (``inversion._build`` says where that path checks each invariant).
-``_shift`` works in place and returns the one record of what it moved, an
-``AdjustmentTrace``; ``_build`` and ``adjust`` both hand it on, and
+runs on runs, one entry per run of M with one interval (per-M lists are
+the case of one M per run; ``inversion._build_runs`` says where that path
+checks each invariant). ``_shift`` works in place and returns the one
+record of what it moved, an ``AdjustmentTrace`` keyed by M;
+``_build_runs`` and ``adjust`` both hand it on, and
 ``adjust`` keeps its level and monotonicity checks for outside families.
 """
 
@@ -39,34 +41,47 @@ class AdjustmentTrace:
     set_upper: dict
 
 
-def _shift(lower, upper) -> AdjustmentTrace:
-    """Monotonize endpoint lists in place; returns the shifts it applied."""
+def _shift(lower, upper, ends=None) -> AdjustmentTrace:
+    """Monotonize run lists in place; returns the shifts it applied, per M.
+
+    Run r is [lower[r], upper[r]] on M = ends[r-1]+1..ends[r] (ends None:
+    one M per entry). The running maximum of the lower endpoints and the
+    backward running minimum of the upper ones take one step per run, and a
+    run's shift applies to each of its M.
+    """
     up, down = {}, {}
     top = lower[0]
-    for M, a in enumerate(lower):
+    for r, a in enumerate(lower):
         if a < top:
-            up[M] = top - a
+            up[r] = top - a
         else:
             top = a
     bottom = upper[-1]
-    for M in range(len(upper) - 1, -1, -1):
-        if upper[M] > bottom:
-            down[M] = upper[M] - bottom
+    for r in range(len(upper) - 1, -1, -1):
+        if upper[r] > bottom:
+            down[r] = upper[r] - bottom
         else:
-            bottom = upper[M]
-    overlap = up.keys() & down.keys()
+            bottom = upper[r]
+    if not (up or down):
+        return AdjustmentTrace(up, down)
+    raises, drops = up, down
+    if ends is not None:  # each run's shift applies to each of its M
+        raises, drops = ({M: d for r, d in moved.items()
+                          for M in range(ends[r - 1] + 1 if r else 0, ends[r] + 1)}
+                         for moved in (up, down))
+    overlap = raises.keys() & drops.keys()
     if overlap:
         raise ValueError(
             f"shift sets overlap at M={sorted(overlap)}; input intervals were "
             "not minimum-cardinality probability maximizers"
         )
-    for M, d in up.items():
-        lower[M] += d
-        upper[M] += d
-    for M, d in down.items():
-        lower[M] -= d
-        upper[M] -= d
-    return AdjustmentTrace(up, down)
+    for r, d in up.items():
+        lower[r] += d
+        upper[r] += d
+    for r, d in down.items():
+        lower[r] -= d
+        upper[r] -= d
+    return AdjustmentTrace(raises, drops)
 
 
 def adjust(half: AcceptanceFamily) -> tuple:
@@ -126,7 +141,7 @@ def symmetrize(adjusted_half: AcceptanceFamily, p: Params) -> AcceptanceFamily:
     """Full symmetric family: keep below N/2, reflect above, center at N/2."""
     if adjusted_half.params != p:
         raise ValueError("family params do not match")
-    lower, upper = _mirror(p, adjusted_half.lower, adjusted_half.upper)
+    lower, upper, _ = _mirror(p, adjusted_half.lower, adjusted_half.upper)
     if p.N % 2 == 0:
         k = p.N // 2
         lower[k], upper[k] = center_interval(p, adjusted_half.interval(k))

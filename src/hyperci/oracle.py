@@ -148,22 +148,6 @@ def min_level_interval(M: int, p: Params, alpha: Fraction) -> tuple:
     raise AssertionError("full support failed the level; corrupt kernels")
 
 
-def max_prob_interval(M: int, p: Params, length: int) -> tuple:
-    """Highest-mass window of the given length: (interval, probability)."""
-    _check_cap(p)
-    lo, hi, pre = prefix_row(M, p)
-    if not 1 <= length <= hi - lo + 1:
-        raise ValueError(f"length must be in [1, {hi - lo + 1}], got {length}")
-    best = -1
-    best_at = 0
-    for start in range(hi - lo + 2 - length):
-        mass = pre[start + length] - pre[start]
-        if mass > best:
-            best = mass
-            best_at = start
-    return ((lo + best_at, lo + best_at + length - 1), Fraction(best, p.total_weight))
-
-
 def min_symmetric_set_size(p: Params, alpha: Fraction) -> int:
     """Minimum cardinality of a level-alpha set symmetric about n/2, at M = N/2.
 
@@ -248,23 +232,6 @@ def min_symmetric_total(p: Params, alpha: Fraction) -> int:
     total = sum(half) + sum(half[: (p.N + 1) // 2])
     if p.N % 2 == 0:
         total += min_symmetric_set_size(p, alpha) - half[p.N // 2]
-    return total
-
-
-def min_interval_class_total(p: Params, alpha: Fraction) -> int:
-    """Minimum total size over symmetric families of acceptance intervals.
-
-    Identical to the per-M interval bound except that the N/2 entry (even N)
-    must itself be a symmetric interval [c, n-c].
-    """
-    _check_cap(p)
-    alpha = _require_fraction(alpha)
-    half = [min_level_interval(M, p, alpha)[0] for M in range(p.N // 2 + 1)]
-    total = sum(half) + sum(half[: (p.N + 1) // 2])
-    if p.N % 2 == 0:
-        M = p.N // 2
-        bar = (1 - alpha) * p.total_weight
-        total += min_center_length(prefix_row(M, p), p.n, bar) - half[M]
     return total
 
 

@@ -5,12 +5,12 @@ P_M(X <= x) > alpha/2, one bisection since that tail is nonincreasing in
 M; L(x) = N - U(n - x) by the pmf reflection w(M, x) = w(N - M, n - x).
 A full table is those n + 1 bisections when n << N, else one sweep over M
 of the equal-tail acceptance intervals, inverted by ``_inverse``. The
-bisection path carries a certificate that shares none of its sums
-(``_certify_rows``): each U(x) is tested against its definition, with tails
-summed by ``step_down`` from one ``math.comb`` pair and T_{U+1} taken from
-the tail identity. The sweep keeps its carried checks. Tail
-comparisons are exact integer tests against alpha's own integer ratio,
-halved exactly (``_half_alpha_bar``), for every float.
+bisection path and ``pivot_ci`` carry a certificate that shares none of
+their sums (``_certify_row``): each bisected U(x) is tested against its
+definition, with tails summed by ``step_down`` from one ``math.comb`` pair
+and T_{U+1} taken from the tail identity. The sweep keeps its carried
+checks. Tail comparisons are exact integer tests against alpha's own
+integer ratio, halved exactly (``_half_alpha_bar``), for every float.
 """
 
 from __future__ import annotations
@@ -50,10 +50,14 @@ def _upper_end(x: int, p: Params) -> int:
 
 
 def pivot_ci(x: int, p: Params) -> tuple:
-    """Equal-tail interval [L, U] for one observation x."""
+    """Equal-tail interval [L, U] for one observation x; both bisected rows,
+    U(n - x) and U(x), are certified (``_certify_row``)."""
     if not 0 <= x <= p.n:
         raise ValueError(f"x must be in [0, {p.n}], got {x}")
-    return (p.N - _upper_end(p.n - x, p), _upper_end(x, p))
+    low, high = _upper_end(p.n - x, p), _upper_end(x, p)
+    _certify_row(p.n - x, low, p)
+    _certify_row(x, high, p)
+    return (p.N - low, high)
 
 
 def pivot_table(p: Params) -> ConfidenceTable:
@@ -75,12 +79,13 @@ def _bisect_table(p: Params) -> ConfidenceTable:
     """Rows U(x) = ``_upper_end(x, p)`` and L(x) = N - U(n - x), as pivot_ci gives them."""
     upper = tuple(_upper_end(x, p) for x in range(p.n + 1))
     tbl = ConfidenceTable(p, Method.PIVOT, tuple(p.N - u for u in upper[::-1]), upper)
-    _certify_rows(p, upper)
+    for x, U in enumerate(upper):
+        _certify_row(x, U, p)
     return tbl
 
 
-def _certify_rows(p: Params, upper: tuple) -> None:
-    """Prove T_U(x) > alpha/2 >= T_{U+1}(x) for U = upper[x], T_M(x) = P_M(X <= x).
+def _certify_row(x: int, U: int, p: Params) -> None:
+    """Prove T_U(x) > alpha/2 >= T_{U+1}(x), T_M(x) = P_M(X <= x).
 
     That is U(x)'s definition, since T_M(x) is nonincreasing in M. T_U is
     summed down from w_U(x) = C(U, x) C(N - U, n - x) by ``step_down`` to the
@@ -91,15 +96,14 @@ def _certify_rows(p: Params, upper: tuple) -> None:
     """
     bar, den = _half_alpha_bar(p)
     N, n = p.N, p.n
-    for x, U in enumerate(upper):
-        w_x = w = tail = math.comb(U, x) * math.comb(N - U, n - x)
-        if w_x:  # else x is off the support of U: U < x, or T_U(x) = 0
-            for y in range(x, max(0, U + n - N), -1):
-                w = step_down(w, U, y, p)
-                tail += w
-        drop, rest = divmod((n - x) * w_x, N - U) if U < N else (tail, 0)
-        if rest or not tail * den > bar >= (tail - drop) * den:
-            raise AssertionError(f"pivot row U({x}) = {U} fails its definition; corrupt kernels")
+    w_x = w = tail = math.comb(U, x) * math.comb(N - U, n - x)
+    if w_x:  # else x is off the support of U: U < x, or T_U(x) = 0
+        for y in range(x, max(0, U + n - N), -1):
+            w = step_down(w, U, y, p)
+            tail += w
+    drop, rest = divmod((n - x) * w_x, N - U) if U < N else (tail, 0)
+    if rest or not tail * den > bar >= (tail - drop) * den:
+        raise AssertionError(f"pivot row U({x}) = {U} fails its definition; corrupt kernels")
 
 
 def _sweep_table(p: Params) -> ConfidenceTable:

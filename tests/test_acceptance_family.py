@@ -31,7 +31,7 @@ def intervals(fam):
 
 def reflect_full(half):
     """The half family reflected onto M = 0..N, through the one mirror ``_mirror``."""
-    lower, upper = _mirror(half.params, half.lower, half.upper)
+    lower, upper, _ = _mirror(half.params, half.lower, half.upper)
     return AcceptanceFamily(half.params, tuple(lower), tuple(upper))
 
 
@@ -209,8 +209,9 @@ class TestGreedyRuns:
         n = data.draw(st.integers(1, 50))
         alpha = data.draw(st.sampled_from(list(DEFAULT_ALPHAS) + [0.05, 0.01]))
         p = Params(N, n, alpha)
-        lower, upper, cov = acceptance._greedy_sweep(p)
-        assert (lower, upper, cov) == sweep_without_runs(p)
+        lower, upper, ends, cov = acceptance._greedy_sweep(p)
+        assert (lower, upper, ends, cov) == sweep_without_runs(p)
+        lower, upper = acceptance._per_m(ends, lower, upper)
         for M in data.draw(st.lists(st.integers(0, N // 2), min_size=1, max_size=20)):
             assert (lower[M], upper[M]) == greedy_interval(p, M), M
 
@@ -242,6 +243,40 @@ class TestGreedyRuns:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and "run of" in err
+
+
+class TestRunBuildEverywhere:
+    """The full differential of the run build, deselected by default
+    (``pytest -m slow`` runs it): every N <= 120 at certify's five alphas and
+    0.05, and the eight instances of the benchmark, built with runs tried at
+    every M and at the default trigger, against the build with the run path
+    off. Tables, stored coverage, run lists, shift trace and pre-centre must
+    all be equal."""
+
+    @pytest.mark.slow
+    def test_run_build_equals_per_m_build(self, monkeypatch):
+        from hyperci.inversion import _build_runs
+
+        cases = [(N, n, a) for N in range(1, 121) for n in range(1, N + 1)
+                 for a in DEFAULT_ALPHAS + (0.05,)]
+        cases += [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
+                  (5000, 1000, 0.05)] + WIDE
+        runs = count_runs(monkeypatch)
+        started = {}
+        for trigger in (1, acceptance._RUN_AFTER):
+            runs.clear()
+            for case in cases:
+                p = Params(*case)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(acceptance, "_RUN_AFTER", math.inf)
+                    want = _build_runs(p)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(acceptance, "_RUN_AFTER", trigger)
+                    got = _build_runs(p)
+                assert got[0]._coverage == want[0]._coverage, (trigger, case)
+                assert got == want, (trigger, case)
+            started[trigger] = len(runs)
+        assert started[1] > 50000 and started[acceptance._RUN_AFTER] > 100, started
 
 
 class TestReflectFull:

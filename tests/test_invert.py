@@ -21,7 +21,7 @@ from hyperci import (
     table_to_csv,
     total_size_diff,
 )
-from hyperci.acceptance import AcceptanceFamily, _mirror
+from hyperci.acceptance import AcceptanceFamily, _mirror, interval_masses
 from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import interval_weight
 from hyperci.inversion import ConfidenceTable, _build, _inverse
@@ -129,13 +129,16 @@ class TestCstarComposition:
     def test_widened_interval_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        def widened(lower, upper):  # b_5 one higher keeps the level, breaks order
-            shifts = _shift(lower, upper)
-            upper[5] += 1
+        # the build works on runs; run 3 is [1, 3] on M = 5..7 and run 4 is
+        # [1, 4], so b two higher on run 3 keeps the level, breaks order at M = 7
+        def widened(lower, upper, ends):
+            shifts = _shift(lower, upper, ends)
+            assert (ends[2], ends[3], upper[3], upper[4]) == (4, 7, 3, 4)
+            upper[3] += 2
             return shifts
 
         monkeypatch.setattr("hyperci.inversion._shift", widened)
-        with pytest.raises(AssertionError, match="not nondecreasing at M=5"):
+        with pytest.raises(AssertionError, match="not nondecreasing at M=7"):
             cstar_table(Params(40, 13, 0.2))
         code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
         out, err = capsys.readouterr()
@@ -148,8 +151,8 @@ class TestCstarComposition:
     def test_interval_outside_support_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        def widened(lower, upper):
-            shifts = _shift(lower, upper)
+        def widened(lower, upper, ends):  # run 0 is M = 0 alone
+            shifts = _shift(lower, upper, ends)
             upper[0] = 1
             return shifts
 
@@ -162,17 +165,17 @@ class TestCstarComposition:
         assert err.startswith("internal error: ") and err.count("\n") == 1
 
     # the mirrored half is not checked again: a mirror fault that changes a
-    # row breaks the table's reflection. Here the first mirrored lower
-    # endpoint above its predecessor drops by one, which keeps the order
+    # row breaks the table's reflection. Here the lower endpoint of the first
+    # mirrored run above its predecessor drops by one, which keeps the order
     def test_lowered_mirrored_endpoint_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        def lowered(p, lower, upper):
-            full_lower, full_upper = _mirror(p, lower, upper)
-            M = next(M for M in range(p.N // 2 + 1, p.N + 1)
-                     if full_lower[M - 1] < full_lower[M])
-            full_lower[M] -= 1
-            return full_lower, full_upper
+        def lowered(p, lower, upper, ends):  # the runs past len(lower) are mirrored
+            full_lower, full_upper, full_ends = _mirror(p, lower, upper, ends)
+            r = next(r for r in range(len(lower), len(full_lower))
+                     if full_lower[r - 1] < full_lower[r])
+            full_lower[r] -= 1
+            return full_lower, full_upper, full_ends
 
         monkeypatch.setattr("hyperci.inversion._mirror", lowered)
         with pytest.raises(AssertionError, match="symmetry broken"):
@@ -182,19 +185,70 @@ class TestCstarComposition:
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
 
+    # on a wide instance, where runs hold thousands of M, a run boundary one
+    # M off in the mirror (the first mirrored run ends one M early) or in the
+    # inversion (L(x) the last M of the run before, not the first of its
+    # own) changes rows on one side only, which the table's reflection shows
+    @pytest.mark.parametrize("stage", ["mirror", "inverse"])
+    def test_run_boundary_off_by_one_is_an_internal_fault(self, monkeypatch, capsys, stage):
+        from hyperci.cli import main
+
+        def early_end(p, lower, upper, ends):
+            full_lower, full_upper, full_ends = _mirror(p, lower, upper, ends)
+            full_ends[len(lower)] -= 1
+            return full_lower, full_upper, full_ends
+
+        def early_start(p, a, b, ends):
+            lower, upper = _inverse(p, a, b, ends)
+            return tuple(max(L - 1, 0) for L in lower), upper
+
+        mutant = {"mirror": early_end, "inverse": early_start}[stage]
+        monkeypatch.setattr(f"hyperci.inversion._{stage}", mutant)
+        with pytest.raises(AssertionError, match="symmetry broken"):
+            cstar_table(Params(20000, 10, 0.05))
+        code = main(["table", "--N", "20000", "--n", "10", "--alpha", "0.05"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    # the run build against the public per-M stages on wide-shaped
+    # instances, far past the N <= 40 grid and the oracle's cap: table rows,
+    # the shift trace and the stored coverage at sampled M
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_run_build_equals_public_stages_on_wide_shapes(self, data):
+        N = data.draw(st.integers(2000, 60000))
+        n = data.draw(st.integers(1, 50))
+        alpha = data.draw(st.sampled_from(list(DEFAULT_ALPHAS) + [0.05, 0.01]))
+        p = Params(N, n, alpha)
+        tbl, _, _, trace, _ = _build(p)
+        adjusted, adjust_trace = adjust(amo_half(p))
+        sym = symmetrize(adjusted, p)
+        assert tbl == invert(sym)
+        assert trace == adjust_trace
+        sampled = data.draw(st.lists(st.integers(0, N), min_size=1, max_size=20))
+        # the half M <= N/2 of the symmetrized family, up to the last sampled M
+        masses = dict.fromkeys(min(M, N - M) for M in sampled)
+        for M, mass in zip(range(max(masses) + 1), interval_masses(p, sym.lower, sym.upper)):
+            if M in masses:
+                masses[M] = mass
+        for M in sampled:
+            assert coverage(tbl, M) == masses[min(M, N - M)] / p.total_weight, M
+
     # cstar_table keeps the greedy's coverage for every interval whose
     # endpoints it did not change; one slid while _shift reports no shift
     # must be summed again, so it fails the level or stores its own coverage
     def test_unreported_slide_leaves_no_stale_coverage(self, monkeypatch):
         slid = []
 
-        def slide(lower, upper):  # one unmoved interval one point right, still monotone
-            shifts = _shift(lower, upper)
-            for M in range(1, len(lower) - 2):
+        def slide(lower, upper, ends):  # one unmoved run one point right, still monotone
+            shifts = _shift(lower, upper, ends)
+            for r in range(1, len(lower) - 2):
+                M = ends[r - 1] + 1  # the run's first M
                 if M not in shifts.set_lower and M not in shifts.set_upper and \
-                        lower[M] < lower[M + 1] and upper[M] < upper[M + 1]:
-                    lower[M] += 1
-                    upper[M] += 1
+                        lower[r] < lower[r + 1] and upper[r] < upper[r + 1]:
+                    lower[r] += 1
+                    upper[r] += 1
                     slid.append(M)
                     break
             return shifts

@@ -10,8 +10,6 @@ from hyperci.oracle import (
     exact_coverage,
     exact_interval_prob,
     lower_quantile,
-    max_prob_interval,
-    min_interval_class_total,
     min_level_interval,
     min_symmetric_set_size,
     min_symmetric_set_size_bruteforce,
@@ -68,14 +66,6 @@ class TestMinLevelInterval:
         with pytest.raises(TypeError):
             min_level_interval(10, Params(20, 6, 0.6), 0.6)
 
-    def test_best_interval_is_max_prob_window(self):
-        p = Params(24, 10, Fraction(1, 10))
-        for M in range(25):
-            card, interval, prob = min_level_interval(M, p, Fraction(1, 10))
-            window, wprob = max_prob_interval(M, p, card)
-            assert prob == wprob
-            assert exact_interval_prob(M, *interval, p) == prob
-
 
 class TestSymmetricSetBounds:
     def test_adversarial_gap_instance(self):
@@ -94,11 +84,6 @@ class TestSymmetricSetBounds:
         total = min_symmetric_total(p, Fraction(1, 20))
         size = cstar_table(p).total_size
         assert size in (total, total + 1)
-
-    def test_interval_class_bound_always_tight(self):
-        for N, n, alpha in [(20, 6, A60), (12, 4, Fraction(1, 20)), (15, 8, Fraction(1, 10))]:
-            p = Params(N, n, alpha)
-            assert cstar_table(p).total_size == min_interval_class_total(p, alpha)
 
     def test_greedy_center_matches_bruteforce(self):
         for N, n in [(10, 4), (14, 7), (16, 10), (20, 6)]:

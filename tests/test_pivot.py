@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hyperci import Params, acceptance_of, pivot_ci, pivot_table
 from hyperci.core import interval_weight, weight
 from hyperci.oracle import lower_quantile, pivot_scan
-from hyperci.pivot import _bisect_table, _certify_rows, _lower_tail_weight, _sweep_table
+from hyperci.pivot import _bisect_table, _certify_row, _lower_tail_weight, _sweep_table
 
 from reference_tables import COMPETITOR_L, COMPETITOR_U
 
@@ -253,6 +253,26 @@ class TestPivotPaths:
         assert code == 3 and out == ""
         assert err.startswith("internal error: pivot row U(0)") and err.count("\n") == 1
 
+    # pivot_ci bisects without a table; the same kernel fault must fail its
+    # two certified rows, so `ci --method pivot` prints nothing and exits 3
+    # (it printed [0, 16845], true [0, 16841], before they were certified)
+    def test_corrupt_tail_kernel_fails_the_ci_certificate(self, monkeypatch, capsys):
+        import hyperci.pivot as pivot
+        from hyperci.cli import main
+
+        p = Params(100000, 20, 0.05)
+        assert pivot_ci(0, p) == (0, 16841)
+        kernel = pivot.interval_weight
+        monkeypatch.setattr(pivot, "interval_weight",
+                            lambda M, a, b, p: kernel(M, a, b, p) * 1001 // 1000)
+        with pytest.raises(AssertionError, match="fails its definition; corrupt kernels"):
+            pivot_ci(0, p)
+        code = main(["ci", "--N", "100000", "--n", "20", "--alpha", "0.05", "--x", "0",
+                     "--method", "pivot"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: pivot row U(") and err.count("\n") == 1
+
     # U(x) is the largest M with T_M(x) > alpha/2, so U(x) + 1 and U(x) - 1 both fail
     @pytest.mark.parametrize("N, n, alpha", [
         (45, 3, 0.3), (100000, 20, 0.05), (50000, 50, Fraction(1, 100)),
@@ -264,7 +284,7 @@ class TestPivotPaths:
             for u in (upper[x] - 1, upper[x] + 1):
                 if 0 <= u <= N:
                     with pytest.raises(AssertionError, match=f"U\\({x}\\) = {u} fails"):
-                        _certify_rows(p, upper[:x] + (u,) + upper[x + 1:])
+                        _certify_row(x, u, p)
 
 
 class TestTailMonotonicity:
