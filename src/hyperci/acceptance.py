@@ -21,10 +21,13 @@ per run; a per-M list is the special case of one M per run. Where n << N
 the greedy keeps one interval over thousands of M. After ``_RUN_AFTER``
 consecutive M on one interval the sweep bounds a run by probes
 (``_run_end``), which prove every per-M condition of the greedy but the
-level on the whole run; inside it the mass moves by the two terms of the
-interval-mass identity and the level is tested exactly at every M. Short
-runs, and every M outside a run, take the per-M moves, which stay the
-reference for runs.
+level on the whole run. The level holds on a prefix of the run, found by
+a bisection of exact probes, so a run costs O(log N) probes, not a step
+per M. Its coverage is left unfilled: ``_fill_coverage`` carries the mass
+over it by the two terms of the interval-mass identity, testing the level
+exactly at every M, when a table's coverage is first read. Short runs, and
+every M outside a run, take the per-M moves, which stay the reference for
+runs.
 
 Every move and the stopping rule are exact integer comparisons, so the
 output is a deterministic function of (N, n, alpha).
@@ -35,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import perm
 from operator import add, le, sub
 
@@ -148,11 +151,13 @@ _RUN_AFTER = 32
 
 
 def _greedy_sweep(p: Params) -> tuple:
-    """Greedy runs (lower, upper, ends) and per-M coverage for M = 0..floor(N/2).
+    """Greedy runs (lower, upper, ends) and coverage (cov, unfilled) for M = 0..floor(N/2).
 
     Run r is the interval [lower[r], upper[r]] on M = ends[r-1]+1..ends[r];
-    a run is emitted each time the interval changes. coverage[M] is the
-    interval's carried mass over C(N, n) at each M.
+    a run is emitted each time the interval changes. cov holds the
+    interval's mass over C(N, n) at each M that the per-M moves corrected,
+    in order of M, and each (M, end, a, b) of unfilled a run of [a, b] whose
+    coverage at M+1..end is left to ``_fill_coverage``.
 
     M = 0 starts from its one-point support {0}. Each later M takes the
     previous window (a, b, w_a, w_b, mass) through ``carry_window``, then
@@ -163,7 +168,7 @@ def _greedy_sweep(p: Params) -> tuple:
     A carried window only ever slides right, since the leftmost max-mass
     start of each length is nondecreasing in M; the left slide keeps the
     correction exact from any window. The grow loop stops only once the mass
-    attains the level, so coverage[M] = mass / C(N, n) is level-checked.
+    attains the level, so each value in cov is level-checked.
 
     [a, b] is the greedy interval at M when four conditions hold: (i) it
     attains the level; (ii) w(a-1) < w(b) and (iii) w(b+1) < w(a), so it is
@@ -173,28 +178,27 @@ def _greedy_sweep(p: Params) -> tuple:
     and [a, b-1] both miss the level, so no shorter window attains it.
     Once an interval has held on ``_RUN_AFTER`` consecutive M with the
     support at [0, n], the sweep tries a run: ``_run_end`` proves (ii),
-    (iii) and (iv) by probes on M..M2. Up to M2 each M moves the mass by the
-    two terms of the interval-mass identity,
-    t(M) = (n-b) w_M(b) / (N-M) = C(M, b) C(N-M-1, n-b-1) and
-    u(M) = (n-a+1) w_M(a-1) / (N-M) = C(M, a-1) C(N-M-1, n-a),
-    mass(M+1) = mass(M) + u(M) - t(M), each term stepped to M+1 by one exact
-    multiply-divide, and tests the level exactly (mass >= need). The
-    correction moves take over at the first M below the level, from the
-    carried window. At each run end the mass must match interval_weight and
-    t must match weight, and after the last M the carried mass and weights
-    must match them too.
+    (iii) and (iv) by probes on M..stop, and the carried mass, w(a) and w(b)
+    at M must match ``interval_weight`` and ``weight``. (i) holds on a prefix
+    of M..stop: by the interval-mass identity mass(M+1) = mass(M) + u(M) -
+    t(M), with t(M) = (n-b) w_M(b) / (N-M) = C(M, b) C(N-M-1, n-b-1) and
+    u(M) = (n-a+1) w_M(a-1) / (N-M) = C(M, a-1) C(N-M-1, n-a), and u/t falls
+    as M rises (the monotone likelihood ratio), so the mass is unimodal in
+    M. So exact probes (``interval_weight`` >= need), one at stop and else a
+    bisection, find the prefix's last M, end, and the sweep jumps there;
+    the run costs O(log N) probes and no step per M. If end is below stop,
+    the correction moves take over at end + 1, from the run's window
+    reseeded there by ``weight`` and ``interval_weight``. After the last M
+    the carried mass and weights must match them too.
     """
     N, n = p.N, p.n
-    num, den = p._alpha_ratio
     total = p.total_weight
-    # the level is mass / C(N, n) >= 1 - num / den, that is mass * den >= bar,
-    # exactly when mass >= need (one integer compare per test)
-    bar = (den - num) * total
-    need = -(-bar // den)
+    need = _level_need(p)
     k = N // 2
     a = b = 0
     w_a = w_b = mass = weight(0, 0, p)
     lower, upper, ends, cov = [0], [0], [], []  # M = 0 has the one interval [0, 0]
+    unfilled = []
     M = a0 = b0 = 0  # [a0, b0] is the interval of the current run
     after = _RUN_AFTER - 1
     run_from = after  # the M from which the current interval may start a run
@@ -259,23 +263,20 @@ def _greedy_sweep(p: Params) -> tuple:
         if M >= run_from and lo == 0 and hi == n and M < k:
             stop = _run_end(p, M, a, b, need)
             if stop > M:
-                # w_left is w(a-1) at M; both divisions are exact
-                t = (n - b) * w_b // (N - M)
-                u = (n - a + 1) * w_left // (N - M)  # 0 when a = 0
-                # t(M)/t(M-1) = M (N-M+1-n+b) / ((M-b)(N-M)), u(M)/u(M-1) likewise
-                tb, ua = N - n + b + 1, N - n + a
-                for M in range(M + 1, stop + 1):
-                    mass += u - t
-                    r = N - M
-                    t = t * (M * (tb - M)) // ((M - b) * r)
-                    u = u * (M * (ua - M)) // ((M + 1 - a) * r)
-                    if mass < need:
-                        break
-                    cov.append(mass / total)
-                w_a, w_b = weight(M, a, p), weight(M, b, p)
-                if mass != interval_weight(M, a, b, p) or t * (N - M) != (n - b) * w_b:
-                    raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] ending at M={M})")
-                if len(cov) == M:  # M is below the level: correct the carried window there
+                exact = interval_weight(M, a, b, p), weight(M, a, p), weight(M, b, p)
+                if (mass, w_a, w_b) != exact:
+                    raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] starting at M={M})")
+                # P_M([a, b]) is unimodal in M, so the level holds on a prefix of
+                # M..stop: on all of it when it holds at stop, else up to a bisection
+                if interval_weight(stop, a, b, p) >= need:
+                    end = stop
+                else:
+                    end = _last_true(lambda m: interval_weight(m, a, b, p) >= need, M, stop - 1)
+                if end > M:
+                    unfilled.append((M, end, a, b))
+                M = end if end == stop else end + 1
+                w_a, w_b, mass = weight(M, a, p), weight(M, b, p), interval_weight(M, a, b, p)
+                if M > end:  # M is below the level: correct the window reseeded there
                     continue
         if M == k:
             break
@@ -284,7 +285,52 @@ def _greedy_sweep(p: Params) -> tuple:
     if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
         raise AssertionError(DRIFTED)
     ends.append(k)
-    return lower, upper, ends, cov
+    return lower, upper, ends, cov, unfilled
+
+
+def _level_need(p: Params) -> int:
+    """The least weight sum that attains the level: mass / C(N, n) >= 1 - alpha
+    exactly when mass >= this (one integer compare per test)."""
+    num, den = p._alpha_ratio
+    return -(-(den - num) * p.total_weight // den)
+
+
+def _fill_coverage(p: Params, cov, unfilled) -> list:
+    """Per-M coverage at M = 0..floor(N/2) from ``_greedy_sweep``'s cov and unfilled.
+
+    cov holds the coverage at each M that the per-M moves corrected, in
+    order of M. Each (M, end, a, b) of unfilled is a run of [a, b] whose
+    coverage at M+1..end is not in cov. Each such range is filled by the
+    sweep's two-term carry from the exact mass at M. The level is tested
+    exactly at every M, and the carried mass must match ``interval_weight``
+    at end; a failure is a program fault (AssertionError).
+    """
+    N, n = p.N, p.n
+    total = p.total_weight
+    need = _level_need(p)
+    known = iter(cov)
+    out = []
+    for M, end, a, b in unfilled:
+        out += islice(known, M + 1 - len(out))  # the per-M values up to the run's first M
+        mass = interval_weight(M, a, b, p)
+        # t(M) and u(M) of the interval-mass identity (``_greedy_sweep``); both divisions are exact
+        t = (n - b) * weight(M, b, p) // (N - M)
+        u = (n - a + 1) * weight(M, a - 1, p) // (N - M)  # 0 when a = 0
+        # t(M)/t(M-1) = M (N-M+1-n+b) / ((M-b)(N-M)), u(M)/u(M-1) likewise;
+        # dividing by the two factors in turn gives the same exact quotient
+        tb, ua = N - n + b + 1, N - n + a
+        for M in range(M + 1, end + 1):
+            mass += u - t
+            r = N - M
+            t = t * (M * (tb - M)) // (M - b) // r
+            u = u * (M * (ua - M)) // (M + 1 - a) // r
+            if mass < need:
+                raise AssertionError(f"C* family below level at M={M}: {a, b}")
+            out.append(mass / total)
+        if mass != interval_weight(end, a, b, p):
+            raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] ending at M={end})")
+    out += known
+    return out
 
 
 def _run_end(p: Params, M: int, a: int, b: int, need: int) -> int:
@@ -351,7 +397,7 @@ def _last_true(holds, lo: int, hi: int) -> int:
 
 def amo_half(p: Params) -> AcceptanceFamily:
     """Greedy acceptance intervals for M = 0..floor(N/2), in one sweep."""
-    lower, upper, ends, _ = _greedy_sweep(p)
+    lower, upper, ends, _, _ = _greedy_sweep(p)
     return AcceptanceFamily(p, *_per_m(ends, lower, upper))
 
 

@@ -11,8 +11,10 @@ runs; ``_build_runs``'s docstring lists where it checks each invariant,
 and ``_build`` expands its family to per-M lists for certify and tests.
 Its level masses over C(N, n) are the coverage at
 M = 0..N/2 (``invert(fam)`` has dual ``fam``; coverage(N - M) =
-coverage(M)), so the table keeps them; other tables are summed per M, or
-over the half in one sweep of their dual (``_half_coverage``).
+coverage(M)), so the table keeps them. The build leaves the greedy's runs
+unfilled, and the first coverage read fills them once (``_filled``);
+other tables are summed per M, or over the half in one sweep of their
+dual (``_half_coverage``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .acceptance import AcceptanceFamily, _check_support, _greedy_sweep, _mirror, _per_m
+from .acceptance import (AcceptanceFamily, _check_support, _fill_coverage, _greedy_sweep, _mirror,
+                         _per_m)
 from .core import Params, attains_level, interval_prob, interval_weight
 from .monotonize import _center, _shift
 
@@ -41,6 +44,9 @@ class ConfidenceTable:
     upper: tuple
     # set only by cstar_table, so replace() and hand-built tables carry none
     _coverage: tuple = field(default=None, init=False, compare=False, repr=False)
+    # not a field: cstar_table sets it only on a table whose greedy runs it
+    # left unfilled, and ``_filled`` turns it into _coverage on the first read
+    _unfilled = None
 
     def __post_init__(self):
         N, n = self.params.N, self.params.n
@@ -105,6 +111,8 @@ def coverage(tbl: ConfidenceTable, M: int) -> float:
     if tbl._coverage is not None and 0 <= M <= N:  # a C* table, which stores M = 0..N/2
         return tbl._coverage[M if M + M <= N else N - M]
     p.check_m(M)
+    if tbl._unfilled is not None:  # a C* table not read before
+        return _filled(tbl)[M if M + M <= N else N - M]
     # qualifying x form an interval because L and U are nondecreasing
     x_lo = bisect_left(tbl.upper, M)
     x_hi = bisect_right(tbl.lower, M) - 1
@@ -116,11 +124,36 @@ def _half_coverage(tbl: ConfidenceTable) -> tuple:
 
     A C* table's stored values, else one carried sweep of the dual's half.
     """
-    if tbl._coverage is not None:
-        return tbl._coverage
+    stored = _filled(tbl)
+    if stored is not None:
+        return stored
     p = tbl.params
     half = AcceptanceFamily(p, *_dual(tbl, p.N // 2 + 1))
     return tuple(m / p.total_weight for m in half.masses())
+
+
+def _filled(tbl: ConfidenceTable) -> tuple:
+    """A C* table's stored coverage at M = 0..N/2; None for other tables.
+
+    Where ``cstar_table`` left greedy runs unfilled, the first read fills
+    them once (``_stored``; ``_fill_coverage`` tests the level at every M
+    it fills) and keeps the result in _coverage.
+    """
+    state = tbl._unfilled  # read once: a concurrent first read at worst fills twice
+    if state is not None:
+        object.__setattr__(tbl, "_coverage", _stored(tbl.params, *state))
+        object.__setattr__(tbl, "_unfilled", None)
+    return tbl._coverage
+
+
+def _stored(p: Params, cov: list, unfilled: list, fixed: dict) -> tuple:
+    """The coverage tuple a C* table stores: the greedy's cov with its
+    unfilled runs carried in (``_fill_coverage``), then fixed's values set."""
+    if unfilled:
+        cov = _fill_coverage(p, cov, unfilled)
+    for M, value in fixed.items():
+        cov[M] = value
+    return tuple(cov)
 
 
 def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
@@ -150,25 +183,33 @@ def _build_runs(p: Params) -> tuple:
     M = ends[r-1]+1..ends[r]); trace is ``_shift``'s ``AdjustmentTrace``,
     the same per-M record that ``adjust(amo_half(p))`` returns. Every stage
     after the greedy takes one step per run.
-    Each of its invariants is checked once: the level at M = 0..N/2, by the
-    greedy's exact test at every M (its grow loop's exit, or a run's per-M
-    test), else by an exact sum at each M of a run the shift moved, and at
-    an even-N centre by the mass its proof summed (``_center``); the
-    carried masses, against ``interval_weight`` at each run end and after
-    the greedy's last M; the support, by ``_check_support`` once per run of
-    the half (``_mirror`` maps the support of M onto that of N - M);
-    monotone endpoints in ``_inverse``, once per run; reflection symmetry
-    in ``ConfidenceTable``, which a mirror fault that changes a row breaks.
+    Each of its invariants is checked once:
+    - the level at M = 0..N/2: at each M that the greedy's per-M moves
+      correct, by their grow loop's exit; on a greedy run, by the exact
+      probes of the bisection that ends it (the level holds on a prefix of
+      the run), and again at every M of the run when the first coverage
+      read fills it (``_filled``); at each M of a run the shift moved, by an
+      exact sum; at an even-N centre, by the mass its proof summed
+      (``_center``);
+    - the carried masses, against ``interval_weight`` at each run start, at
+      the end of each filled range and after the greedy's last M;
+    - the support, by ``_check_support`` once per run of the half
+      (``_mirror`` maps the support of M onto that of N - M);
+    - monotone endpoints, in ``_inverse``, once per run;
+    - reflection symmetry, in ``ConfidenceTable``, which a mirror fault
+      that changes a row breaks.
     p is valid, so a failed check is a program fault (AssertionError).
     """
     try:
-        greedy_lower, greedy_upper, ends, cov = _greedy_sweep(p)
+        greedy_lower, greedy_upper, ends, cov, unfilled = _greedy_sweep(p)
         lower, upper = list(greedy_lower), list(greedy_upper)
         trace = _shift(lower, upper, ends)
         N, k = p.N, p.N // 2
-        # cov holds the greedy's level-checked masses; each M of a run the
-        # shift moved is summed again, except an even-N centre, which the
-        # centre replaces with the interval and the mass that its proof summed
+        # cov and unfilled give the greedy's coverage; fixed holds, by M, the
+        # coverage of each M of a run the shift moved, summed again, and of an
+        # even-N centre, which the centre replaces with the interval and the
+        # mass that its proof summed
+        fixed = {}
         if lower != greedy_lower or upper != greedy_upper:  # one C-level pass
             last = k - 1 if N % 2 == 0 else k
             for r, (a, b) in enumerate(zip(lower, upper)):
@@ -177,13 +218,13 @@ def _build_runs(p: Params) -> tuple:
                         mass = interval_weight(M, a, b, p)
                         if not attains_level(mass, p):
                             raise AssertionError(f"C* family below level at M={M}: {a, b}")
-                        cov[M] = mass / p.total_weight
+                        fixed[M] = mass / p.total_weight
         pre_centre = (lower[-1], upper[-1])
         if N % 2 == 0:
             centre, mass = _center(p, pre_centre)
             if not attains_level(mass, p):
                 raise AssertionError(f"C* family below level at M={k}: {centre}")
-            cov[k] = mass / p.total_weight
+            fixed[k] = mass / p.total_weight
             if len(ends) > 1 and ends[-2] == k - 1:  # the last run is the centre alone
                 lower[-1], upper[-1] = centre
             else:  # the centre splits it
@@ -195,7 +236,10 @@ def _build_runs(p: Params) -> tuple:
         del greedy_lower, greedy_upper  # freed before the full-length lists: peak memory
         lower, upper, ends = _mirror(p, lower, upper, ends)
         tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(p, lower, upper, ends))
-        object.__setattr__(tbl, "_coverage", tuple(cov))
+        if unfilled:  # filled on the first coverage read
+            object.__setattr__(tbl, "_unfilled", (cov, unfilled, fixed))
+        else:
+            object.__setattr__(tbl, "_coverage", _stored(p, cov, unfilled, fixed))
         return tbl, lower, upper, ends, trace, pre_centre
     except ValueError as e:  # p is valid, so a failed self-check is a program fault
         raise AssertionError(f"C* pipeline self-check failed: {e}") from e

@@ -24,7 +24,7 @@ from hyperci import (
 from hyperci.acceptance import AcceptanceFamily, _mirror, interval_masses
 from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import interval_weight
-from hyperci.inversion import ConfidenceTable, _build, _inverse
+from hyperci.inversion import ConfidenceTable, _build, _half_coverage, _inverse
 from hyperci.monotonize import _shift, center_interval
 
 from test_certify import SHIFT_CORPUS
@@ -573,6 +573,33 @@ class TestStoredCoverage:
         )
         assert swapped == ptbl and swapped._coverage is None
         assert [coverage(swapped, M) for M in range(61)] == [coverage(ptbl, M) for M in range(61)]
+
+    # a wide table holds its greedy runs unfilled until the first read; the
+    # lazy state is plain data, so a pickled copy fills to the same values
+    def test_unfilled_wide_table_pickles_and_fills_alike(self):
+        tbl = cstar_table(Params(*self.WIDE[1]))
+        assert tbl._coverage is None and tbl._unfilled is not None
+        again = pickle.loads(pickle.dumps(tbl))
+        assert again == tbl and again._coverage is None
+        assert _half_coverage(again) == _half_coverage(tbl)
+        assert isinstance(again._coverage, tuple) and again._unfilled is None
+
+    def test_replace_carries_no_lazy_state(self):
+        tbl = cstar_table(Params(*self.WIDE[0]))
+        copy = dataclasses.replace(tbl)
+        assert copy == tbl and copy._unfilled is None and copy._coverage is None
+        assert tbl._unfilled is not None
+
+    def test_lazy_state_not_compared_hashed_or_printed(self):
+        p = Params(*self.WIDE[2])
+        unfilled = cstar_table(p)
+        filled = cstar_table(p)
+        _half_coverage(filled)
+        bare = table_from_csv(table_to_csv(unfilled))
+        assert unfilled._unfilled is not None and filled._unfilled is None
+        assert unfilled == filled == bare
+        assert hash(unfilled) == hash(filled) == hash(bare)
+        assert repr(unfilled) == repr(filled) == repr(bare)
 
     def test_out_of_range_still_raises(self, cstar500):
         for M in (-1, 501):
