@@ -23,11 +23,10 @@ consecutive M on one interval the sweep bounds a run by probes
 (``_run_end``), which prove every per-M condition of the greedy but the
 level on the whole run. The level holds on a prefix of the run, found by
 a bisection of exact probes, so a run costs O(log N) probes, not a step
-per M. Its coverage is left unfilled: ``_fill_coverage`` carries the mass
-over it by the two terms of the interval-mass identity, testing the level
-exactly at every M, when a table's coverage is first read. Short runs, and
-every M outside a run, take the per-M moves, which stay the reference for
-runs.
+per M. Short runs, and every M outside a run, take the per-M moves, which
+stay the reference for runs. The sweep returns intervals only: a table's
+coverage, and with it the level at every M, is read from its dual runs by
+one sweep (``_coverage_sweep``).
 
 Every move and the stopping rule are exact integer comparisons, so the
 output is a deterministic function of (N, n, alpha).
@@ -38,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import perm
 from operator import add, le, sub
 
@@ -151,13 +150,10 @@ _RUN_AFTER = 32
 
 
 def _greedy_sweep(p: Params) -> tuple:
-    """Greedy runs (lower, upper, ends) and coverage (cov, unfilled) for M = 0..floor(N/2).
+    """Greedy runs (lower, upper, ends) for M = 0..floor(N/2).
 
     Run r is the interval [lower[r], upper[r]] on M = ends[r-1]+1..ends[r];
-    a run is emitted each time the interval changes. cov holds the
-    interval's mass over C(N, n) at each M that the per-M moves corrected,
-    in order of M, and each (M, end, a, b) of unfilled a run of [a, b] whose
-    coverage at M+1..end is left to ``_fill_coverage``.
+    a run is emitted each time the interval changes.
 
     M = 0 starts from its one-point support {0}. Each later M takes the
     previous window (a, b, w_a, w_b, mass) through ``carry_window``, then
@@ -168,7 +164,7 @@ def _greedy_sweep(p: Params) -> tuple:
     A carried window only ever slides right, since the leftmost max-mass
     start of each length is nondecreasing in M; the left slide keeps the
     correction exact from any window. The grow loop stops only once the mass
-    attains the level, so each value in cov is level-checked.
+    attains the level, so each M that the moves correct is level-checked.
 
     [a, b] is the greedy interval at M when four conditions hold: (i) it
     attains the level; (ii) w(a-1) < w(b) and (iii) w(b+1) < w(a), so it is
@@ -192,13 +188,11 @@ def _greedy_sweep(p: Params) -> tuple:
     the carried mass and weights must match them too.
     """
     N, n = p.N, p.n
-    total = p.total_weight
     need = _level_need(p)
     k = N // 2
     a = b = 0
     w_a = w_b = mass = weight(0, 0, p)
-    lower, upper, ends, cov = [0], [0], [], []  # M = 0 has the one interval [0, 0]
-    unfilled = []
+    lower, upper, ends = [0], [0], []  # M = 0 has the one interval [0, 0]
     M = a0 = b0 = 0  # [a0, b0] is the interval of the current run
     after = _RUN_AFTER - 1
     run_from = after  # the M from which the current interval may start a run
@@ -259,7 +253,6 @@ def _greedy_sweep(p: Params) -> tuple:
             upper.append(b)
             a0, b0 = a, b
             run_from = M + after
-        cov.append(mass / total)
         if M >= run_from and lo == 0 and hi == n and M < k:
             stop = _run_end(p, M, a, b, need)
             if stop > M:
@@ -272,8 +265,6 @@ def _greedy_sweep(p: Params) -> tuple:
                     end = stop
                 else:
                     end = _last_true(lambda m: interval_weight(m, a, b, p) >= need, M, stop - 1)
-                if end > M:
-                    unfilled.append((M, end, a, b))
                 M = end if end == stop else end + 1
                 w_a, w_b, mass = weight(M, a, p), weight(M, b, p), interval_weight(M, a, b, p)
                 if M > end:  # M is below the level: correct the window reseeded there
@@ -285,7 +276,7 @@ def _greedy_sweep(p: Params) -> tuple:
     if mass != interval_weight(M, a, b, p) or (w_a, w_b) != (weight(M, a, p), weight(M, b, p)):
         raise AssertionError(DRIFTED)
     ends.append(k)
-    return lower, upper, ends, cov, unfilled
+    return lower, upper, ends
 
 
 def _level_need(p: Params) -> int:
@@ -295,42 +286,81 @@ def _level_need(p: Params) -> int:
     return -(-(den - num) * p.total_weight // den)
 
 
-def _fill_coverage(p: Params, cov, unfilled) -> list:
-    """Per-M coverage at M = 0..floor(N/2) from ``_greedy_sweep``'s cov and unfilled.
+def _coverage_sweep(p: Params, lower, upper, ends, need: int) -> tuple:
+    """Coverage mass / C(N, n) of each [lower[r], upper[r]] at each M of its
+    run M = ends[r-1]+1..ends[r], for M = 0..ends[-1] < N; an empty window
+    [b+1, b] gives 0.0. Each mass must reach need (0: no level test).
 
-    cov holds the coverage at each M that the per-M moves corrected, in
-    order of M. Each (M, end, a, b) of unfilled is a run of [a, b] whose
-    coverage at M+1..end is not in cov. Each such range is filled by the
-    sweep's two-term carry from the exact mass at M. The level is tested
-    exactly at every M, and the carried mass must match ``interval_weight``
-    at end; a failure is a program fault (AssertionError).
+    Inside a run of [a, b] the sweep carries the identity's two terms t(M)
+    and u(M) (``_greedy_sweep``): mass += u - t, then one exact
+    multiply-divide per term. Where a run starts, t = T(b) and u = T(a-1),
+    T(x) = C(M, x) C(N-M-1, n-x-1), step in x to the new endpoints, each
+    step adding or dropping one weight. A state with no term to step from
+    (a = 0, or an endpoint below the support) is reseeded from
+    ``interval_weight`` and ``weight``, and a window not inside its support
+    on its whole run is summed at each M. The carried mass must equal
+    ``interval_weight`` after each run at least as long as its window and
+    at the last M; a failure is a program fault (AssertionError).
     """
     N, n = p.N, p.n
     total = p.total_weight
-    need = _level_need(p)
-    known = iter(cov)
+    k = ends[-1]
     out = []
-    for M, end, a, b in unfilled:
-        out += islice(known, M + 1 - len(out))  # the per-M values up to the run's first M
-        mass = interval_weight(M, a, b, p)
-        # t(M) and u(M) of the interval-mass identity (``_greedy_sweep``); both divisions are exact
-        t = (n - b) * weight(M, b, p) // (N - M)
-        u = (n - a + 1) * weight(M, a - 1, p) // (N - M)  # 0 when a = 0
+    append = out.append  # bound once: the run loop appends at every M
+    M = a = b = 0
+    mass = t = u = None  # [a, b]'s carried state at M; None: reseed it
+    for a2, b2, end in zip(lower, upper, ends):
+        if a2 < end + n - N or b2 > min(M, n):  # not inside its supports
+            for M in range(M, end + 1):
+                mass = interval_weight(M, a2, b2, p)
+                if mass < need:
+                    raise AssertionError(f"coverage below level at M={M}: {a2, b2}")
+                append(mass / total)
+            M, mass = end + 1, None
+            continue
+        # w(x+1) = T(x) (M-x) r / d and T(x+1) = T(x) (M-x) (n-x-1) / d
+        r, s = N - M, N - M - n
+        if mass is not None and b2 > b:  # add w(b+1..b2)
+            if t:  # else b is below the support
+                for x in range(b, b2):
+                    d = (x + 1) * (s + x + 1)
+                    mass += t * ((M - x) * r) // d
+                    t = t * ((M - x) * (n - x - 1)) // d
+            else:
+                mass = None
+        if mass is not None and a2 > a:  # drop w(a..a2-1)
+            if u:  # else a = 0, or a - 1 is below the support
+                for x in range(a - 1, a2 - 1):
+                    d = (x + 1) * (s + x + 1)
+                    mass -= u * ((M - x) * r) // d
+                    u = u * ((M - x) * (n - x - 1)) // d
+            else:
+                mass = None
+        if mass is None:
+            mass = interval_weight(M, a2, b2, p)
+            t = (n - b2) * weight(M, b2, p) // r
+            u = (n - a2 + 1) * weight(M, a2 - 1, p) // r  # 0 when a2 = 0
+        a, b = a2, b2
         # t(M)/t(M-1) = M (N-M+1-n+b) / ((M-b)(N-M)), u(M)/u(M-1) likewise;
         # dividing by the two factors in turn gives the same exact quotient
         tb, ua = N - n + b + 1, N - n + a
-        for M in range(M + 1, end + 1):
+        first, stop = M, min(end + 1, k)  # the last M is tested after the loop
+        for M in range(M + 1, stop + 1):
+            if mass < need:
+                raise AssertionError(f"coverage below level at M={M - 1}: {a, b}")
+            append(mass / total)
             mass += u - t
             r = N - M
             t = t * (M * (tb - M)) // (M - b) // r
             u = u * (M * (ua - M)) // (M + 1 - a) // r
-            if mass < need:
-                raise AssertionError(f"C* family below level at M={M}: {a, b}")
-            out.append(mass / total)
-        if mass != interval_weight(end, a, b, p):
+        M = stop
+        if (end - first >= b - a or M == k) and mass != interval_weight(M, a, b, p):
             raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] ending at M={end})")
-    out += known
-    return out
+    if mass is not None:  # the last run's last M
+        if mass < need:
+            raise AssertionError(f"coverage below level at M={k}: {a, b}")
+        append(mass / total)
+    return tuple(out)
 
 
 def _run_end(p: Params, M: int, a: int, b: int, need: int) -> int:
@@ -397,7 +427,7 @@ def _last_true(holds, lo: int, hi: int) -> int:
 
 def amo_half(p: Params) -> AcceptanceFamily:
     """Greedy acceptance intervals for M = 0..floor(N/2), in one sweep."""
-    lower, upper, ends, _, _ = _greedy_sweep(p)
+    lower, upper, ends = _greedy_sweep(p)
     return AcceptanceFamily(p, *_per_m(ends, lower, upper))
 
 

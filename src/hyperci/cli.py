@@ -10,10 +10,10 @@ deterministic, the timing footer is not and can be suppressed with
 --no-timing. Exit codes: 0 ok, 1 certification failure, 2 usage error
 (bad input, or an --out path that cannot be written), 3 internal error (a
 failed kernel self-check).
-coverage mirrors M <= N/2 (a C* table's stored values, filled on this
-first read, or one sweep of a pivot dual). Every subcommand runs in one
-process; compare and certify loop over their items (n values, grid
-instances) in order.
+coverage mirrors M <= N/2, one sweep of the table's dual runs that also
+tests the level at every M (a miss is an internal error). Every subcommand
+runs in one process; compare and certify loop over their items (n values,
+grid instances) in order.
 Alpha is a decimal (a float) or a fraction such as 3/5 (an exact
 rational); certify's --alphas are always exact rationals.
 Each subcommand imports only what it runs: ci, table, coverage and compare

@@ -19,18 +19,16 @@ to ``C(N,n)`` over the support for every M:
   moves a window or tail mass; a carried point that falls below the new
   support's lower end max(0, M+1+n-N) is reseeded from ``weight``.
   ``carry_window`` is the one window move; its two callers are the greedy
-  sweep (``acceptance._greedy_sweep``, whose masses give a C* table's
-  stored coverage) and ``acceptance.interval_masses``, which serves
-  ``adjust``'s level guard and the all-M coverage of other tables
-  (``hyperci coverage``). The sweep does not walk a run of one greedy
-  interval [a, b]: it bisects the run's level end with exact
-  ``interval_weight`` probes. The run's coverage is filled on the table's
-  first coverage read (``acceptance._fill_coverage``), which carries the
-  identity's two terms instead of the weights, t(M) = (n-b) w_M(b)/(N-M) =
-  C(M, b) C(N-M-1, n-b-1) and u(M) = (n-a+1) w_M(a-1)/(N-M) =
-  C(M, a-1) C(N-M-1, n-a): each M is mass += u - t, one exact
-  multiply-divide per term and a level test, and the range's end checks
-  the carried mass against ``interval_weight``.
+  sweep (``acceptance._greedy_sweep``) and ``acceptance.interval_masses``,
+  which serves ``adjust``'s level guard and ``AcceptanceFamily.masses``.
+  The greedy sweep does not walk a run of one greedy interval [a, b]: it
+  bisects the run's level end with exact ``interval_weight`` probes.
+  A table's coverage is one sweep of its dual runs
+  (``acceptance._coverage_sweep``), which carries the identity's two terms
+  instead of the weights, t(M) = (n-b) w_M(b)/(N-M) = C(M, b) C(N-M-1, n-b-1)
+  and u(M) = (n-a+1) w_M(a-1)/(N-M) = C(M, a-1) C(N-M-1, n-a): each M is
+  mass += u - t, one exact multiply-divide per term, and a long run's end
+  checks the carried mass against ``interval_weight``.
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ only one: ``invert``, ``cstar_table`` and ``pivot_table`` all run it.
 ``cstar_table`` is ``_build_runs(p)[0]``, the C* pipeline on the greedy's
 runs; ``_build_runs``'s docstring lists where it checks each invariant,
 and ``_build`` expands its family to per-M lists for certify and tests.
-Its level masses over C(N, n) are the coverage at
-M = 0..N/2 (``invert(fam)`` has dual ``fam``; coverage(N - M) =
-coverage(M)), so the table keeps them. The build leaves the greedy's runs
-unfilled, and the first coverage read fills them once (``_filled``);
-other tables are summed per M, or over the half in one sweep of their
-dual (``_half_coverage``).
+
+Coverage at M is the mass of the dual window A(M) = [x_lo(M), x_hi(M)]
+(``invert(fam)`` has dual ``fam``), and coverage(N - M) = coverage(M).
+Every table gets it one way: the first read runs one sweep over the dual
+runs of M = 0..N/2 (``_half_coverage``) and caches the result, which a
+later read looks up. On a table that ``cstar_table`` or ``pivot_table``
+built, the sweep also tests the level exactly at every M.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .acceptance import (AcceptanceFamily, _check_support, _fill_coverage, _greedy_sweep, _mirror,
-                         _per_m)
-from .core import Params, attains_level, interval_prob, interval_weight
-from .monotonize import _center, _shift
+from .acceptance import (AcceptanceFamily, _check_support, _coverage_sweep, _greedy_sweep,
+                         _level_need, _mirror, _per_m)
+from .core import Params, attains_level, interval_weight
+from .monotonize import _shift, center_interval
 
 
 class Method(enum.Enum):
@@ -42,11 +43,12 @@ class ConfidenceTable:
     method: Method
     lower: tuple
     upper: tuple
-    # set only by cstar_table, so replace() and hand-built tables carry none
+    # coverage at M = 0..N/2, cached by the first read (``_half_coverage``);
+    # replace() builds a new table, which carries neither field
     _coverage: tuple = field(default=None, init=False, compare=False, repr=False)
-    # not a field: cstar_table sets it only on a table whose greedy runs it
-    # left unfilled, and ``_filled`` turns it into _coverage on the first read
-    _unfilled = None
+    # set by cstar_table and pivot_table (``_claim_level``): the sweep tests
+    # their level at every M
+    _claims_level: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         N, n = self.params.N, self.params.n
@@ -108,52 +110,31 @@ def coverage(tbl: ConfidenceTable, M: int) -> float:
     """P_M(M in C(X)): the chance the reported interval captures M."""
     p = tbl.params
     N = p.N
-    if tbl._coverage is not None and 0 <= M <= N:  # a C* table, which stores M = 0..N/2
+    if tbl._coverage is not None and 0 <= M <= N:  # a table read before caches M = 0..N/2
         return tbl._coverage[M if M + M <= N else N - M]
     p.check_m(M)
-    if tbl._unfilled is not None:  # a C* table not read before
-        return _filled(tbl)[M if M + M <= N else N - M]
-    # qualifying x form an interval because L and U are nondecreasing
-    x_lo = bisect_left(tbl.upper, M)
-    x_hi = bisect_right(tbl.lower, M) - 1
-    return interval_prob(M, x_lo, x_hi, p)  # 0.0 for an empty window
+    return _half_coverage(tbl)[M if M + M <= N else N - M]
 
 
 def _half_coverage(tbl: ConfidenceTable) -> tuple:
     """coverage(tbl, M) at M = 0..N/2; tables are symmetric, so coverage(N - M) = coverage(M).
 
-    A C* table's stored values, else one carried sweep of the dual's half.
+    One sweep of the dual's runs (``_coverage_sweep``), cached in
+    _coverage; on a table marked _claims_level it tests the level at every
+    M. A concurrent first read at worst sweeps twice.
     """
-    stored = _filled(tbl)
-    if stored is not None:
-        return stored
-    p = tbl.params
-    half = AcceptanceFamily(p, *_dual(tbl, p.N // 2 + 1))
-    return tuple(m / p.total_weight for m in half.masses())
-
-
-def _filled(tbl: ConfidenceTable) -> tuple:
-    """A C* table's stored coverage at M = 0..N/2; None for other tables.
-
-    Where ``cstar_table`` left greedy runs unfilled, the first read fills
-    them once (``_stored``; ``_fill_coverage`` tests the level at every M
-    it fills) and keeps the result in _coverage.
-    """
-    state = tbl._unfilled  # read once: a concurrent first read at worst fills twice
-    if state is not None:
-        object.__setattr__(tbl, "_coverage", _stored(tbl.params, *state))
-        object.__setattr__(tbl, "_unfilled", None)
+    if tbl._coverage is None:
+        p = tbl.params
+        need = _level_need(p) if tbl._claims_level else 0
+        object.__setattr__(tbl, "_coverage",
+                           _coverage_sweep(p, *_dual_runs(tbl, p.N // 2), need))
     return tbl._coverage
 
 
-def _stored(p: Params, cov: list, unfilled: list, fixed: dict) -> tuple:
-    """The coverage tuple a C* table stores: the greedy's cov with its
-    unfilled runs carried in (``_fill_coverage``), then fixed's values set."""
-    if unfilled:
-        cov = _fill_coverage(p, cov, unfilled)
-    for M, value in fixed.items():
-        cov[M] = value
-    return tuple(cov)
+def _claim_level(tbl: ConfidenceTable) -> ConfidenceTable:
+    """tbl marked as built level 1 - alpha: a coverage below it is a program fault."""
+    object.__setattr__(tbl, "_claims_level", True)
+    return tbl
 
 
 def total_size_diff(a: ConfidenceTable, b: ConfidenceTable) -> int:
@@ -187,12 +168,12 @@ def _build_runs(p: Params) -> tuple:
     - the level at M = 0..N/2: at each M that the greedy's per-M moves
       correct, by their grow loop's exit; on a greedy run, by the exact
       probes of the bisection that ends it (the level holds on a prefix of
-      the run), and again at every M of the run when the first coverage
-      read fills it (``_filled``); at each M of a run the shift moved, by an
-      exact sum; at an even-N centre, by the mass its proof summed
-      (``_center``);
-    - the carried masses, against ``interval_weight`` at each run start, at
-      the end of each filled range and after the greedy's last M;
+      the run); at each M of a run the shift moved, by an exact sum; at an
+      even-N centre, by its proof (``center_interval``). The table is
+      marked _claims_level, so the first coverage read tests the level
+      again at every M (``_half_coverage``);
+    - the greedy's carried masses, against ``interval_weight`` at each run
+      start and after its last M;
     - the support, by ``_check_support`` once per run of the half
       (``_mirror`` maps the support of M onto that of N - M);
     - monotone endpoints, in ``_inverse``, once per run;
@@ -201,30 +182,22 @@ def _build_runs(p: Params) -> tuple:
     p is valid, so a failed check is a program fault (AssertionError).
     """
     try:
-        greedy_lower, greedy_upper, ends, cov, unfilled = _greedy_sweep(p)
+        greedy_lower, greedy_upper, ends = _greedy_sweep(p)
         lower, upper = list(greedy_lower), list(greedy_upper)
         trace = _shift(lower, upper, ends)
         N, k = p.N, p.N // 2
-        # cov and unfilled give the greedy's coverage; fixed holds, by M, the
-        # coverage of each M of a run the shift moved, summed again, and of an
-        # even-N centre, which the centre replaces with the interval and the
-        # mass that its proof summed
-        fixed = {}
+        # each M of a run the shift moved is summed again, except an even-N
+        # centre, which center_interval replaces and proves
         if lower != greedy_lower or upper != greedy_upper:  # one C-level pass
             last = k - 1 if N % 2 == 0 else k
             for r, (a, b) in enumerate(zip(lower, upper)):
                 if a != greedy_lower[r] or b != greedy_upper[r]:
                     for M in range(ends[r - 1] + 1 if r else 0, min(ends[r], last) + 1):
-                        mass = interval_weight(M, a, b, p)
-                        if not attains_level(mass, p):
+                        if not attains_level(interval_weight(M, a, b, p), p):
                             raise AssertionError(f"C* family below level at M={M}: {a, b}")
-                        fixed[M] = mass / p.total_weight
         pre_centre = (lower[-1], upper[-1])
         if N % 2 == 0:
-            centre, mass = _center(p, pre_centre)
-            if not attains_level(mass, p):
-                raise AssertionError(f"C* family below level at M={k}: {centre}")
-            fixed[k] = mass / p.total_weight
+            centre = center_interval(p, pre_centre)
             if len(ends) > 1 and ends[-2] == k - 1:  # the last run is the centre alone
                 lower[-1], upper[-1] = centre
             else:  # the centre splits it
@@ -236,31 +209,32 @@ def _build_runs(p: Params) -> tuple:
         del greedy_lower, greedy_upper  # freed before the full-length lists: peak memory
         lower, upper, ends = _mirror(p, lower, upper, ends)
         tbl = ConfidenceTable(p, Method.CSTAR, *_inverse(p, lower, upper, ends))
-        if unfilled:  # filled on the first coverage read
-            object.__setattr__(tbl, "_unfilled", (cov, unfilled, fixed))
-        else:
-            object.__setattr__(tbl, "_coverage", _stored(p, cov, unfilled, fixed))
-        return tbl, lower, upper, ends, trace, pre_centre
+        return _claim_level(tbl), lower, upper, ends, trace, pre_centre
     except ValueError as e:  # p is valid, so a failed self-check is a program fault
         raise AssertionError(f"C* pipeline self-check failed: {e}") from e
 
 
 def acceptance_of(tbl: ConfidenceTable) -> AcceptanceFamily:
     """Dual family A(M) = {x : M in C(x)}, an interval by monotonicity."""
-    return AcceptanceFamily(tbl.params, *_dual(tbl, tbl.params.N + 1))
+    lower, upper, ends = _dual_runs(tbl, tbl.params.N)
+    for r, (a, b) in enumerate(zip(lower, upper)):
+        if a > b:
+            raise ValueError(f"table accepts no x at M={ends[r - 1] + 1 if r else 0}")
+    return AcceptanceFamily(tbl.params, *_per_m(ends, lower, upper))
 
 
-def _dual(tbl: ConfidenceTable, count: int) -> tuple:
-    """Dual endpoints (lower, upper) at M = 0..count-1, two bisections of the table per M."""
-    lower, upper = [], []
-    for M in range(count):
-        x_lo = bisect_left(tbl.upper, M)
-        x_hi = bisect_right(tbl.lower, M) - 1
-        if x_lo > x_hi:
-            raise ValueError(f"table accepts no x at M={M}")
-        lower.append(x_lo)
-        upper.append(x_hi)
-    return tuple(lower), tuple(upper)
+def _dual_runs(tbl: ConfidenceTable, last: int) -> tuple:
+    """Run lists (lower, upper, ends) of the dual [x_lo(M), x_hi(M)] on M = 0..last.
+
+    x_lo(M) = #{x : U(x) < M} and x_hi(M) = #{x : L(x) <= M} - 1 change only
+    at M = U(x) + 1 and M = L(x): at most 2n + 2 runs, each read by the two
+    bisections of its first M. An M that no row holds has x_lo = x_hi + 1.
+    """
+    starts = sorted({0, *[M for M in tbl.lower if M <= last],
+                     *[U + 1 for U in tbl.upper if U < last]})
+    return ([bisect_left(tbl.upper, M) for M in starts],
+            [bisect_right(tbl.lower, M) - 1 for M in starts],
+            [M - 1 for M in starts[1:]] + [last])
 
 
 # -- CSV schema ---------------------------------------------------------------

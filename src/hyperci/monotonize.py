@@ -120,11 +120,6 @@ def center_interval(p: Params, raw_center: tuple) -> tuple:
     [h, n-h] attains the level iff P(X < h) <= alpha/2, and [h+1, n-h-1]
     (mass minus 2 w(h); empty if 2h >= n) misses it iff P(X <= h) > alpha/2.
     """
-    return _center(p, raw_center)[0]
-
-
-def _center(p: Params, raw_center: tuple) -> tuple:
-    """(center_interval's [h, n-h], its exact mass), the mass that proved it."""
     if p.N % 2:
         raise ValueError(f"center interval needs even N, got N={p.N}")
     k, n = p.N // 2, p.n
@@ -134,7 +129,7 @@ def _center(p: Params, raw_center: tuple) -> tuple:
     if not attains_level(mass, p) or attains_level(inner, p):
         raise ValueError(f"center proof failed at N={p.N}, n={p.n}: [{h}, {n - h}] from raw "
                          f"center {raw_center} is not the shortest symmetric level interval")
-    return (h, n - h), mass
+    return (h, n - h)
 
 
 def symmetrize(adjusted_half: AcceptanceFamily, p: Params) -> AcceptanceFamily:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .core import Params, interval_weight, step_down, step_m, support, weight
-from .inversion import ConfidenceTable, Method, _inverse
+from .inversion import ConfidenceTable, Method, _claim_level, _inverse
 
 
 def _lower_tail_weight(M: int, x: int, p: Params) -> int:
@@ -66,6 +66,8 @@ def pivot_table(p: Params) -> ConfidenceTable:
     ``_bisect_table`` costs about (n + 1) * n * N.bit_length() steps: n + 1
     bisections of ceil(log2(N + 1)) tail sums of up to n weights each. The
     sweep costs O(N + n), so the table bisects while that count is below 2 * N.
+    Both tails hold at most alpha/2 at every M, so both builders return a
+    table that claims the level (``_claim_level``).
     """
     try:
         if (p.n + 1) * p.n * p.N.bit_length() < 2 * p.N:
@@ -81,7 +83,7 @@ def _bisect_table(p: Params) -> ConfidenceTable:
     tbl = ConfidenceTable(p, Method.PIVOT, tuple(p.N - u for u in upper[::-1]), upper)
     for x, U in enumerate(upper):
         _certify_row(x, U, p)
-    return tbl
+    return _claim_level(tbl)
 
 
 def _certify_row(x: int, U: int, p: Params) -> None:
@@ -150,4 +152,4 @@ def _sweep_table(p: Params) -> ConfidenceTable:
     if w != weight(N, x, p) or tail != interval_weight(N, 0, x, p):
         raise AssertionError("carried pivot weights drifted; corrupt kernels")
     rows = _inverse(p, thresholds, [n - t for t in reversed(thresholds)])
-    return ConfidenceTable(p, Method.PIVOT, *rows)
+    return _claim_level(ConfidenceTable(p, Method.PIVOT, *rows))

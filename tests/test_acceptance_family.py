@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperci.acceptance as acceptance
-from hyperci import Params, acceptance_of, adjust, amo_half, cstar_table, symmetrize
+from hyperci import (Method, Params, acceptance_of, adjust, amo_half, cstar_table, pivot_table,
+                     symmetrize, table_from_csv, table_to_csv)
 from hyperci.acceptance import AcceptanceFamily, _check_support, _mirror
 from hyperci.certify import DEFAULT_ALPHAS
 from hyperci.core import attains_level, interval_weight, support, weight
-from hyperci.inversion import _half_coverage
+from hyperci.inversion import ConfidenceTable, _half_coverage
 from hyperci.oracle import (
     exact_interval_prob,
     greedy_interval,
@@ -163,17 +164,11 @@ class TestGreedyHalfFamily:
         assert first == second
 
 
-def filled_sweep(p):
-    """``_greedy_sweep``'s run lists and its coverage with the runs filled in."""
-    lower, upper, ends, cov, unfilled = acceptance._greedy_sweep(p)
-    return lower, upper, ends, acceptance._fill_coverage(p, cov, unfilled)
-
-
 def sweep_without_runs(p):
-    """``filled_sweep`` with the run path switched off: the per-M reference."""
+    """``_greedy_sweep``'s run lists with the run path switched off: the per-M reference."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptance, "_RUN_AFTER", math.inf)
-        return filled_sweep(p)
+        return acceptance._greedy_sweep(p)
 
 
 def count_runs(monkeypatch):
@@ -196,7 +191,8 @@ WIDE = [(100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05)]
 
 
 class TestGreedyRuns:
-    """Runs of one greedy interval must give the per-M sweep's lists and coverage."""
+    """Runs of one greedy interval must give the per-M sweep's lists, so the
+    same table and the same coverage."""
 
     # with a run tried at every M (the trigger at its minimum) runs start
     # even on the smallest instances, where the default never tries one
@@ -206,7 +202,7 @@ class TestGreedyRuns:
         monkeypatch.setattr(acceptance, "_RUN_AFTER", 1)
         runs = count_runs(monkeypatch)
         for case, ref in zip(cases, want):
-            assert filled_sweep(Params(*case)) == ref, case
+            assert acceptance._greedy_sweep(Params(*case)) == ref, case
         assert len(runs) > 5000
 
     @settings(max_examples=15, deadline=None)
@@ -216,10 +212,9 @@ class TestGreedyRuns:
         n = data.draw(st.integers(1, 50))
         alpha = data.draw(st.sampled_from(list(DEFAULT_ALPHAS) + [0.05, 0.01]))
         p = Params(N, n, alpha)
-        lower, upper, ends, cov = filled_sweep(p)
-        assert (lower, upper, ends, cov) == sweep_without_runs(p)
-        # the table's coverage, filled on the first read, against the
-        # eager coverage of the build with the run path off
+        lower, upper, ends = acceptance._greedy_sweep(p)
+        assert (lower, upper, ends) == sweep_without_runs(p)
+        # the coverage of the table against that of the build with the run path off
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(acceptance, "_RUN_AFTER", math.inf)
             eager = cstar_table(p)
@@ -258,57 +253,70 @@ class TestGreedyRuns:
         assert err.startswith("internal error: ") and "run of" in err
 
 
-def spy_fill(monkeypatch):
-    """Patch the coverage fill to record the instance of each call."""
+def spy_sweep(monkeypatch):
+    """Patch the coverage sweep to record the instance of each call."""
     import hyperci.inversion as inversion
 
-    fills = []
-    fill = inversion._fill_coverage
-    monkeypatch.setattr(inversion, "_fill_coverage", lambda p, *rest: fills.append(p) or fill(p, *rest))
-    return fills
+    sweeps = []
+    sweep = inversion._coverage_sweep
+    monkeypatch.setattr(inversion, "_coverage_sweep",
+                        lambda p, *rest: sweeps.append(p) or sweep(p, *rest))
+    return sweeps
 
 
 class TestLazyCoverage:
-    """A C* build leaves the coverage of its greedy runs unfilled; the first
-    coverage read fills it, testing the level at every M."""
+    """No build computes coverage; the first coverage read of any table runs
+    one sweep of its dual, caches it, and on a built table tests the level
+    at every M."""
 
     def test_builds_and_the_table_and_ci_commands_never_fill(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        fills = spy_fill(monkeypatch)
-        for case in WIDE:
-            tbl = cstar_table(Params(*case))
-            assert tbl._coverage is None and tbl._unfilled is not None, case
-        assert main(["table", "--N", "100000", "--n", "20", "--alpha", "0.05"]) == 0
-        assert main(["ci", "--N", "100000", "--n", "20", "--alpha", "0.05", "--x", "3"]) == 0
+        sweeps = spy_sweep(monkeypatch)
+        for case in WIDE + [(5000, 1000, 0.05)]:
+            for build in (cstar_table, pivot_table):
+                tbl = build(Params(*case))
+                assert tbl._coverage is None and tbl._claims_level, (build, case)
+        for method in ("cstar", "pivot"):
+            argv = ["--N", "100000", "--n", "20", "--alpha", "0.05", "--method", method]
+            assert main(["table", *argv]) == 0
+            assert main(["ci", *argv, "--x", "3"]) == 0
         capsys.readouterr()
-        assert fills == []
+        assert sweeps == []
 
+    # a built table, one parsed from its CSV and one built by hand
     def test_first_read_fills_once(self, monkeypatch):
         from hyperci import coverage
 
-        fills = spy_fill(monkeypatch)
+        sweeps = spy_sweep(monkeypatch)
         p = Params(*WIDE[0])
-        tbl = cstar_table(p)
-        first = coverage(tbl, 60000)
-        assert fills == [p] and tbl._unfilled is None
-        assert coverage(tbl, 60000) == first and coverage(tbl, 123) >= 0.95
-        assert fills == [p]
-        assert first == tbl._coverage[p.N - 60000]
+        tables = [cstar_table(p), pivot_table(p)]
+        tables.append(table_from_csv(table_to_csv(tables[0])))
+        tables.append(ConfidenceTable(Params(10, 1, 0.5), Method.PIVOT, (0, 6), (4, 10)))
+        for tbl in tables:
+            sweeps.clear()
+            first = coverage(tbl, 6)
+            assert sweeps == [tbl.params] and isinstance(tbl._coverage, tuple)
+            assert _half_coverage(tbl) is tbl._coverage
+            assert coverage(tbl, 6) == first and coverage(tbl, 4) >= 0.6
+            assert sweeps == [tbl.params]
+            assert first == tbl._coverage[min(6, tbl.params.N - 6)]
 
     def test_out_of_range_on_an_unfilled_table_still_raises(self, monkeypatch):
         from hyperci import coverage
 
-        fills = spy_fill(monkeypatch)
-        tbl = cstar_table(Params(*WIDE[1]))
-        for M in (-1, 50001):
-            with pytest.raises(ValueError, match="M must be in"):
-                coverage(tbl, M)
-        assert fills == [] and tbl._coverage is None
+        sweeps = spy_sweep(monkeypatch)
+        for build in (cstar_table, pivot_table):
+            tbl = build(Params(*WIDE[1]))
+            for M in (-1, 50001):
+                with pytest.raises(ValueError, match="M must be in"):
+                    coverage(tbl, M)
+            assert sweeps == [] and tbl._coverage is None
 
     # a level bisection that claims one M past the level on the first run
-    # that ends by the level builds a table; the fill re-tests the level at
-    # every M of the run, so the first read fails, and the CLI exits 3
+    # that ends by the level builds a table; the first read tests the level
+    # at every M, so it fails, and the CLI exits 3. The same rows parsed
+    # from CSV claim no level, so they read without an error
     def test_fill_catches_a_run_claimed_past_the_level(self, monkeypatch, capsys):
         from hyperci import coverage
         from hyperci.cli import main
@@ -324,26 +332,44 @@ class TestLazyCoverage:
             return end
 
         monkeypatch.setattr(acceptance, "_last_true", past_the_level)
-        tbl = cstar_table(Params(20000, 10, 0.05))
+        p = Params(20000, 10, 0.05)
+        tbl = cstar_table(p)
         assert claimed == [103]
         with pytest.raises(AssertionError, match=r"below level at M=103: \(0, 0\)"):
             coverage(tbl, 5)
+        bare = table_from_csv(table_to_csv(tbl))
+        assert coverage(bare, 103) < 0.95 <= coverage(bare, 102)
         claimed.clear()
         code = main(["coverage", "--N", "20000", "--n", "10", "--alpha", "0.05"])
         out, err = capsys.readouterr()
         assert code == 3 and out == "" and claimed == [103]
         assert err.startswith("internal error: ") and err.count("\n") == 1
 
-    # weights 0.1% low after the build corrupt the terms each filled range
-    # starts from; a low t keeps the mass above the level, so only the
-    # fill's end check can catch it
+    # A(1) = [1, 2] leaves the support [0, 1] of M = 1, so the sweep sums it
+    # per M; a hand-built table reads its coverage there with no level test,
+    # and the same rows marked as built fail the level test at M = 1
+    def test_level_tested_where_the_dual_leaves_its_supports(self):
+        from hyperci import coverage
+        from hyperci.inversion import _claim_level
+
+        rows = Params(4, 3, 0.1), Method.PIVOT, (0, 1, 1, 4), (0, 3, 3, 4)
+        assert coverage(ConfidenceTable(*rows), 1) == 0.75
+        with pytest.raises(AssertionError, match=r"below level at M=1: \(1, 2\)"):
+            coverage(_claim_level(ConfidenceTable(*rows)), 1)
+
+    # weights 0.1% low after the build corrupt the terms the sweep seeds at
+    # M = 0; a low t keeps the mass above the level, so only the check at
+    # the end of the first run can catch it
     def test_fill_checks_its_carried_mass(self, monkeypatch):
         from hyperci import coverage
 
-        tbl = cstar_table(Params(*WIDE[0]))
-        monkeypatch.setattr(acceptance, "weight", lambda M, x, p: weight(M, x, p) * 999 // 1000)
-        with pytest.raises(AssertionError, match=r"corrupt kernels \(run of \[0, 0\] ending at"):
-            coverage(tbl, 0)
+        for build in (cstar_table, pivot_table):
+            tbl = build(Params(*WIDE[0]))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(acceptance, "weight", lambda M, x, p: weight(M, x, p) * 999 // 1000)
+                with pytest.raises(AssertionError,
+                                   match=r"corrupt kernels \(run of \[0, 0\] ending at"):
+                    coverage(tbl, 0)
 
     # each run costs a few bisections of exact interval_weight probes: the
     # level end and _run_end's (iv) bounds, plus the run-start check and the

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -7,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 import hyperci
-from hyperci import Params, coverage, cstar_table, pivot_table
+from hyperci import Params, cstar_table, pivot_table
 from hyperci.cli import main
 from hyperci.inversion import table_from_csv, table_to_csv
+
+from test_invert import dual_coverage
 
 
 def run(capsys, *argv):
@@ -306,8 +309,8 @@ class TestCoverage:
         for M in (1, 2, 3, 57, 58, 59):
             assert cov_p[M] >= cov_c[M]
 
-    # C* prints its stored half, pivot one sweep of its dual's half, each
-    # mirrored; both must print what per-M coverage of the bare table gives
+    # both methods print one sweep of the dual's half, mirrored; it must be
+    # what the per-M sum of the dual window gives
     @pytest.mark.parametrize("method", ["cstar", "pivot"])
     @pytest.mark.parametrize("N", [60, 61])
     def test_stdout_matches_per_m_reference(self, capsys, method, N):
@@ -315,24 +318,47 @@ class TestCoverage:
                            "--method", method)
         p = Params(N, 20, 0.05)
         tbl = cstar_table(p) if method == "cstar" else pivot_table(p)
-        bare = table_from_csv(table_to_csv(tbl))
         want = [f"# hyperci coverage N={N} n=20 alpha=0.05 method={method}", "M,coverage"]
-        want += [f"{M},{coverage(bare, M):.12f}" for M in range(N + 1)]
+        want += [f"{M},{dual_coverage(tbl, M):.12f}" for M in range(N + 1)]
         assert code == 0 and out == "\n".join(want) + "\n"
 
-    # a pivot table's coverage is one carried sweep of its dual, whose end
-    # check must catch a doubled step_m and a 0.1% drift; the table is built
-    # before the kernel is corrupted (a C* table's sweep runs in its build)
-    @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
-    def test_corrupt_step_m_exits_3(self, capsys, monkeypatch, num, den):
-        import hyperci.core as core
+    # the sha256 of stdout, taken before the coverage of every table moved
+    # to one sweep of its dual runs; the output must not change by a byte
+    DIGESTS = {
+        ("cstar", 500, 100, ".05"): "2f7535669e6059b5df8cc62f2bc6791420f4ef9083316fecea8fd761558f83fc",
+        ("cstar", 40, 7, ".1"): "c88a3a3babbaff34e40b9cf70ba52ec59bfc760b7b70bdff1fd524aa99f7aa59",
+        ("cstar", 41, 40, ".6"): "c7570dfa05f8d69bb7c7be1d3761c5211639090479f919a2063e049025181e2b",
+        ("cstar", 100000, 20, ".05"):
+            "4cf646464f38b463914ba0975f179a335234f39cad2ccce551e36c5a4a950cdf",
+        ("pivot", 500, 100, ".05"): "0dbf426c42ef57e9b8d1883110a7cdec28495f6aa39788886511b9ba3a061897",
+        ("pivot", 40, 7, ".1"): "ed3cf5c84f1951d6e1df2d12413cec5e1105e035070d4abac14efff03b50e87d",
+        ("pivot", 41, 40, ".6"): "02e81e3c15b88263ce81854971244c236a9336c3845c0485459697a2f0aee4b7",
+        ("pivot", 100000, 20, ".05"):
+            "df5e9ac0c0bd426f9ec175ccd7026efb4c125749b2c3d70e6ad9c8d93be0d1a4",
+    }
 
-        tbl = pivot_table(Params(40, 13, 0.2))
-        monkeypatch.setattr("hyperci.cli.pivot_table", lambda p: tbl)
-        step = core.step_m
-        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+    @pytest.mark.parametrize("method, N, n, alpha", list(DIGESTS))
+    def test_stdout_digest(self, capsys, method, N, n, alpha):
+        code, out, _ = run(capsys, "coverage", "--N", str(N), "--n", str(n), "--alpha", alpha,
+                           "--method", method)
+        digest = self.DIGESTS[method, N, n, alpha]
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the sweep seeds its carried terms from ``weight``; doubled or 0.1% high
+    # weights after the build make it fail its level test or a carried-mass
+    # check, and the command exits 3
+    @pytest.mark.parametrize("method", ["cstar", "pivot"])
+    @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
+    def test_corrupt_weight_exits_3(self, capsys, monkeypatch, method, num, den):
+        import hyperci.acceptance as acceptance
+        from hyperci.core import weight
+
+        p = Params(40, 13, 0.2)
+        tbl = cstar_table(p) if method == "cstar" else pivot_table(p)
+        monkeypatch.setattr(f"hyperci.cli.{method}_table", lambda p: tbl)
+        monkeypatch.setattr(acceptance, "weight", lambda M, x, p: weight(M, x, p) * num // den)
         code, out, err = run(capsys, "coverage", "--N", "40", "--n", "13", "--alpha", "0.2",
-                             "--method", "pivot")
+                             "--method", method)
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1

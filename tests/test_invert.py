@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -23,11 +24,23 @@ from hyperci import (
 )
 from hyperci.acceptance import AcceptanceFamily, _mirror, interval_masses
 from hyperci.certify import DEFAULT_ALPHAS
-from hyperci.core import interval_weight
+from hyperci.core import interval_prob
 from hyperci.inversion import ConfidenceTable, _build, _half_coverage, _inverse
 from hyperci.monotonize import _shift, center_interval
 
 from test_certify import SHIFT_CORPUS
+
+
+# the bench instances: the ladder, then the wide ones
+LADDER = [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
+          (5000, 1000, 0.05)]
+WIDE = [(100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05)]
+
+
+def dual_coverage(tbl, M):
+    """coverage(tbl, M) from its definition, apart from the library's sweep:
+    the exact mass of the window of x whose interval holds M."""
+    return interval_prob(M, bisect_left(tbl.upper, M), bisect_right(tbl.lower, M) - 1, tbl.params)
 
 
 def pipeline(N, n, alpha):
@@ -106,19 +119,21 @@ class TestCstarComposition:
             raised += bool(trace.set_lower)
         assert raised
 
-    # a centre one point narrower on each side is below level; _build tests
-    # the mass the centre hands it, so it must catch this as a program fault
+    # a centre one point narrower on each side is below level; with its
+    # proof skipped the build keeps the rows (still monotone at n = 12), and
+    # the first coverage read, which tests the level at every M, must catch it
     def test_below_level_centre_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
         def narrower(p, raw):
             h, top = center_interval(p, raw)
-            return (h + 1, top - 1), interval_weight(p.N // 2, h + 1, top - 1, p)
+            return (h + 1, top - 1)
 
-        monkeypatch.setattr("hyperci.inversion._center", narrower)
-        with pytest.raises(AssertionError, match="below level at M=20"):
-            cstar_table(Params(40, 13, 0.2))
-        code = main(["table", "--N", "40", "--n", "13", "--alpha", "0.2"])
+        monkeypatch.setattr("hyperci.inversion.center_interval", narrower)
+        tbl = cstar_table(Params(40, 12, 0.2))
+        with pytest.raises(AssertionError, match=r"below level at M=20: \(5, 7\)"):
+            coverage(tbl, 0)
+        code = main(["coverage", "--N", "40", "--n", "12", "--alpha", "0.2"])
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
@@ -235,9 +250,9 @@ class TestCstarComposition:
         for M in sampled:
             assert coverage(tbl, M) == masses[min(M, N - M)] / p.total_weight, M
 
-    # cstar_table keeps the greedy's coverage for every interval whose
-    # endpoints it did not change; one slid while _shift reports no shift
-    # must be summed again, so it fails the level or stores its own coverage
+    # cstar_table sums again each M of every interval whose endpoints it
+    # changed; one slid while _shift reports no shift must be summed again,
+    # so it fails the level or the table reads its own coverage
     def test_unreported_slide_leaves_no_stale_coverage(self, monkeypatch):
         slid = []
 
@@ -266,11 +281,10 @@ class TestCstarComposition:
                 assert slid and "below level" in str(e), (N, n, alpha)
                 outcomes.add("raised")
                 continue
-            bare = table_from_csv(table_to_csv(tbl))
-            want = [coverage(bare, M) for M in range(N + 1)]
+            want = [dual_coverage(tbl, M) for M in range(N + 1)]
             assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
-            outcomes.add("stored" if slid else "unslid")
-        assert outcomes == {"raised", "stored", "unslid"}
+            outcomes.add("read" if slid else "unslid")
+        assert outcomes == {"raised", "read", "unslid"}
 
     # a zero weight kernel breaks the centre proof's input: the window
     # inside [h, n-h] then keeps the whole mass and still attains the level
@@ -439,17 +453,19 @@ class TestCoverage:
             )
             assert coverage(tbl, M) == pytest.approx(direct, abs=1e-12)
 
-    # the all-M sweep and the one-M function round the same integer once,
-    # so the floats are equal, not just close
+    # the dual family's carried masses, the coverage sweep and the per-M
+    # sum of the dual window round the same integer once, so the floats are
+    # equal, not just close
     def test_all_m_sweep_equals_per_m_coverage(self):
         alphas = [Fraction(k, d) for k, d in [(1, 100), (1, 20), (1, 10), (1, 5), (3, 5)]]
         cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in alphas + [0.05]]
-        cases += [(2000, 1000, 0.05), (100000, 20, 0.05)]
+        cases += [(2000, 1000, 0.05)] + WIDE
         for N, n, alpha in cases:
             p = Params(N, n, alpha)
             for tbl in (cstar_table(p), pivot_table(p)):
                 swept = [m / p.total_weight for m in acceptance_of(tbl).masses()]
                 assert swept == [coverage(tbl, M) for M in range(N + 1)], (N, n, alpha)
+                assert swept == [dual_coverage(tbl, M) for M in range(N + 1)], (N, n, alpha)
 
     # a hand-built table whose intervals miss M = 5 entirely: coverage there
     # is the empty window's 0.0, and no dual interval exists
@@ -527,26 +543,26 @@ class TestCsvRoundTrip:
 
 
 class TestStoredCoverage:
-    # a C* table carries the coverage its level sweep summed; the same table
-    # parsed back from its CSV carries none, so it sums each M from scratch
+    # every table caches the coverage its first read swept; a built table
+    # and the same rows parsed back from CSV read the same values, and both
+    # equal the per-M sum of the dual window
     ALPHAS = [Fraction(k, d) for k, d in [(1, 100), (1, 20), (1, 10), (1, 5), (3, 5)]] + [0.05]
-    LADDER = [(500, 100, 0.05), (365, 292, 0.10), (1000, 500, 0.05), (2000, 1000, 0.05),
-              (5000, 1000, 0.05)]
-    WIDE = [(100000, 20, 0.05), (50000, 50, 0.01), (200000, 10, 0.05)]
 
     def test_equals_from_scratch_coverage(self):
         cases = [(N, n, a) for N in range(1, 41) for n in range(1, N + 1) for a in self.ALPHAS]
-        for N, n, alpha in cases + self.LADDER:
-            tbl = cstar_table(Params(N, n, alpha))
-            bare = table_from_csv(table_to_csv(tbl))
-            assert bare._coverage is None
-            want = [coverage(bare, M) for M in range(N + 1)]
-            assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
+        for N, n, alpha in cases + LADDER + WIDE:
+            p = Params(N, n, alpha)
+            for tbl in (cstar_table(p), pivot_table(p)):
+                bare = table_from_csv(table_to_csv(tbl))
+                assert bare._coverage is None and not bare._claims_level
+                want = [dual_coverage(tbl, M) for M in range(N + 1)]
+                assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
+                assert [coverage(bare, M) for M in range(N + 1)] == want, (N, n, alpha)
 
     # on N in the 1e5 range the from-scratch path is slow; the dual's carried
     # masses over C(N, n) round the same integers
     def test_equals_dual_masses_on_wide_instances(self):
-        for N, n, alpha in self.WIDE:
+        for N, n, alpha in WIDE:
             p = Params(N, n, alpha)
             tbl = cstar_table(p)
             want = [m / p.total_weight for m in acceptance_of(tbl).masses()]
@@ -555,51 +571,54 @@ class TestStoredCoverage:
     def test_not_compared_hashed_or_printed(self):
         tbl = cstar_table(Params(61, 20, 0.05))
         bare = table_from_csv(table_to_csv(tbl))
+        _half_coverage(tbl)
         assert tbl == bare and hash(tbl) == hash(bare)
         assert repr(tbl) == repr(bare)
-        assert len(tbl._coverage) == 31
+        assert len(tbl._coverage) == 31 and bare._coverage is None
 
     def test_pickle_keeps_it(self):
         tbl = cstar_table(Params(60, 20, 0.05))
+        _half_coverage(tbl)
         again = pickle.loads(pickle.dumps(tbl))
-        assert again == tbl and again._coverage == tbl._coverage
+        assert again == tbl and again._coverage == tbl._coverage and again._claims_level
 
     # replace() builds a new table, so the source's coverage is not carried
     def test_replace_carries_no_stale_coverage(self):
         p = Params(60, 20, 0.05)
         ptbl = pivot_table(p)
-        swapped = dataclasses.replace(
-            cstar_table(p), method=ptbl.method, lower=ptbl.lower, upper=ptbl.upper
-        )
+        source = cstar_table(p)
+        _half_coverage(source)
+        swapped = dataclasses.replace(source, method=ptbl.method, lower=ptbl.lower, upper=ptbl.upper)
         assert swapped == ptbl and swapped._coverage is None
         assert [coverage(swapped, M) for M in range(61)] == [coverage(ptbl, M) for M in range(61)]
 
-    # a wide table holds its greedy runs unfilled until the first read; the
-    # lazy state is plain data, so a pickled copy fills to the same values
+    # a table not read yet is plain data: a pickled copy keeps the level
+    # mark and reads the same coverage
     def test_unfilled_wide_table_pickles_and_fills_alike(self):
-        tbl = cstar_table(Params(*self.WIDE[1]))
-        assert tbl._coverage is None and tbl._unfilled is not None
+        tbl = cstar_table(Params(*WIDE[1]))
+        assert tbl._coverage is None and tbl._claims_level
         again = pickle.loads(pickle.dumps(tbl))
-        assert again == tbl and again._coverage is None
+        assert again == tbl and again._coverage is None and again._claims_level
         assert _half_coverage(again) == _half_coverage(tbl)
-        assert isinstance(again._coverage, tuple) and again._unfilled is None
+        assert isinstance(again._coverage, tuple)
 
+    # replace() may change the rows, so the copy claims no level either
     def test_replace_carries_no_lazy_state(self):
-        tbl = cstar_table(Params(*self.WIDE[0]))
+        tbl = cstar_table(Params(*WIDE[0]))
         copy = dataclasses.replace(tbl)
-        assert copy == tbl and copy._unfilled is None and copy._coverage is None
-        assert tbl._unfilled is not None
+        assert copy == tbl and not copy._claims_level and copy._coverage is None
+        assert tbl._claims_level
 
     def test_lazy_state_not_compared_hashed_or_printed(self):
-        p = Params(*self.WIDE[2])
-        unfilled = cstar_table(p)
-        filled = cstar_table(p)
-        _half_coverage(filled)
-        bare = table_from_csv(table_to_csv(unfilled))
-        assert unfilled._unfilled is not None and filled._unfilled is None
-        assert unfilled == filled == bare
-        assert hash(unfilled) == hash(filled) == hash(bare)
-        assert repr(unfilled) == repr(filled) == repr(bare)
+        p = Params(*WIDE[2])
+        unread = cstar_table(p)
+        read = cstar_table(p)
+        _half_coverage(read)
+        bare = table_from_csv(table_to_csv(unread))
+        assert unread._coverage is None and read._coverage is not None
+        assert unread == read == bare
+        assert hash(unread) == hash(read) == hash(bare)
+        assert repr(unread) == repr(read) == repr(bare)
 
     def test_out_of_range_still_raises(self, cstar500):
         for M in (-1, 501):
@@ -615,3 +634,19 @@ class TestStoredCoverage:
         monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * 2)
         with pytest.raises(AssertionError, match="drifted"):
             cstar_table(Params(40, 13, 0.2))
+
+
+class TestCoverageEverywhere:
+    """The full coverage differential, deselected by default (``pytest -m slow``
+    runs it): the half coverage of both methods on every N <= 120 at
+    certify's five alphas against the per-M sum of the dual window."""
+
+    @pytest.mark.slow
+    def test_half_coverage_equals_per_m_reference(self):
+        for N in range(1, 121):
+            for n in range(1, N + 1):
+                for alpha in DEFAULT_ALPHAS:
+                    p = Params(N, n, alpha)
+                    for tbl in (cstar_table(p), pivot_table(p)):
+                        want = tuple(dual_coverage(tbl, M) for M in range(N // 2 + 1))
+                        assert _half_coverage(tbl) == want, (N, n, alpha, tbl.method)
