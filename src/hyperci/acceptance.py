@@ -16,17 +16,20 @@ greedy is kept as the reference ``oracle.greedy_interval``.
 
 The sweep emits runs: one (last M, a, b) each time the interval changes,
 so a family is three run lists, and the later stages (``_check_support``,
-``_mirror``, ``monotonize._shift``, ``inversion._inverse``) work one step
-per run; a per-M list is the special case of one M per run. Where n << N
-the greedy keeps one interval over thousands of M. After ``_RUN_AFTER``
-consecutive M on one interval the sweep bounds a run by probes
-(``_run_end``), which prove every per-M condition of the greedy but the
-level on the whole run. The level holds on a prefix of the run, found by
-a bisection of exact probes, so a run costs O(log N) probes, not a step
-per M. Short runs, and every M outside a run, take the per-M moves, which
-stay the reference for runs. The sweep returns intervals only: a table's
-coverage, and with it the level at every M, is read from its dual runs by
-one sweep (``_coverage_sweep``).
+``_mirror``, ``monotonize._shift``, ``inversion._inverse``) take run lists
+only and work one step per run; a per-M caller passes ends = range(len),
+runs of one M each. Where n << N the greedy keeps one interval over
+thousands of M. After ``_RUN_AFTER`` consecutive M on one interval the
+sweep bounds a run by probes (``_run_end``), which prove every per-M
+condition of the greedy but the level on the whole run. The level holds
+on a prefix of the run, found by a bisection of exact probes, so a run
+costs O(log N) probes, not a step per M. Short runs, and every M outside
+a run, take the per-M moves, which stay the reference for runs. The
+sweep returns intervals only.
+
+Every exact all-M window mass comes from one generator, ``_window_masses``,
+over run lists: a table's coverage, and with it the level at every M, from
+its dual runs, and ``AcceptanceFamily.masses`` from runs of one M each.
 
 Every move and the stopping rule are exact integer comparisons, so the
 output is a deterministic function of (N, n, alpha).
@@ -61,7 +64,7 @@ class AcceptanceFamily:
         if len(self.lower) != len(self.upper) or not self.lower:
             raise ValueError("lower/upper must be nonempty and equally long")
         self.params.check_m(len(self.lower) - 1)
-        _check_support(self.params, self.lower, self.upper)
+        _check_support(self.params, self.lower, self.upper, range(len(self.lower)))
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -76,71 +79,34 @@ class AcceptanceFamily:
         return sum(b - a + 1 for a, b in zip(self.lower, self.upper))
 
     def masses(self) -> list:
-        """Exact weight sum of each interval, for M = 0..len-1 (``interval_masses``)."""
-        return list(interval_masses(self.params, self.lower, self.upper))
+        """Exact weight sum of each interval, for M = 0..len-1: ``_window_masses``
+        on runs of one M each."""
+        return list(_window_masses(self.params, self.lower, self.upper, range(len(self)), 0))
 
 
-def _check_support(p: Params, lower, upper, ends=None) -> None:
+def _check_support(p: Params, lower, upper, ends) -> None:
     """Raise ValueError unless lo(M) <= a <= b <= hi(M) at each M of each run.
 
     Run r is [lower[r], upper[r]] on M1..M2 = ends[r-1]+1..ends[r], and run 0
-    starts at M = 0 (ends None: one M per entry). Both support bounds are
-    nondecreasing in M, so a run stays in its supports when a >= lo(M2) and
-    b <= hi(M1).
+    starts at M = 0. Both support bounds are nondecreasing in M, so a run
+    stays in its supports when a >= lo(M2) and b <= hi(M1).
     """
     N, n = p.N, p.n
-    if ends is None:
-        ends = starts = range(len(lower))
-    else:
-        starts = [0, *[e + 1 for e in ends[:-1]]]
-    # C-level passes first, a >= lo(M2) = M2 - (N - n) only where that is
+    # C-level passes first: b <= M1 is upper[r] - ends[r-1] <= 1 (M1 = 0 on
+    # run 0), and a >= lo(M2) = M2 - (N - n) is tested only where that is
     # positive; the loop runs only on failure, to name the first bad M
     tail = bisect_right(ends, N - n)
-    if (min(lower, default=0) >= 0 and max(upper, default=0) <= n and all(map(le, lower, upper))
-            and all(map(le, upper, starts))
+    if (min(lower) >= 0 and max(upper) <= n and all(map(le, lower, upper))
+            and upper[0] <= 0 and max(map(sub, upper[1:], ends), default=0) <= 1
             and all(map(le, ends[tail:], map(add, lower[tail:], repeat(N - n))))):
         return
+    starts = [0, *[e + 1 for e in ends[:-1]]]
     for M1, M2, a, b in zip(starts, ends, lower, upper):
         if not max(0, M2 + n - N) <= a <= b <= min(M1, n):
             # b > hi and a > b fail first at M1, a < lo first where lo passes a
             M = M1 if a < 0 or a > b or b > min(M1, n) else max(M1, a + N - n + 1)
             lo, hi = max(0, M + n - N), min(M, n)
             raise ValueError(f"interval [{a}, {b}] at M={M} leaves the support [{lo}, {hi}]")
-
-
-def interval_masses(p: Params, lower, upper) -> Iterator[int]:
-    """Yield the exact weight sum of each [lower[M], upper[M]], M = 0, 1, ...
-
-    One sweep; the intervals must lie in their supports. ``carry_window``
-    moves the window and its mass to M+1, then endpoint steps reach the
-    next interval; once the sweep is exhausted, the last mass must equal
-    its sum.
-    """
-    a, b = lower[0], upper[0]
-    w_a, w_b = weight(0, a, p), weight(0, b, p)
-    mass = interval_weight(0, a, b, p)
-    for M, (a_new, b_new) in enumerate(zip(lower, upper)):
-        if M:
-            a, b, w_a, w_b, mass = carry_window(M - 1, a, b, w_a, w_b, mass, p)
-            while b < b_new:
-                w_b = step_up(w_b, M, b, p)
-                b += 1
-                mass += w_b
-            while a > a_new:
-                w_a = step_down(w_a, M, a, p)
-                a -= 1
-                mass += w_a
-            while a < a_new:
-                mass -= w_a
-                w_a = step_up(w_a, M, a, p)
-                a += 1
-            while b > b_new:
-                mass -= w_b
-                w_b = step_down(w_b, M, b, p)
-                b -= 1
-        yield mass
-    if mass != interval_weight(M, a, b, p):
-        raise AssertionError(DRIFTED)
 
 
 # an interval that the greedy has kept on this many consecutive M may start a
@@ -286,40 +252,45 @@ def _level_need(p: Params) -> int:
     return -(-(den - num) * p.total_weight // den)
 
 
-def _coverage_sweep(p: Params, lower, upper, ends, need: int) -> tuple:
-    """Coverage mass / C(N, n) of each [lower[r], upper[r]] at each M of its
-    run M = ends[r-1]+1..ends[r], for M = 0..ends[-1] < N; an empty window
-    [b+1, b] gives 0.0. Each mass must reach need (0: no level test).
+def _window_masses(p: Params, lower, upper, ends, need: int) -> Iterator[int]:
+    """Yield the exact weight sum of [lower[r], upper[r]] at each M of its
+    run M = ends[r-1]+1..ends[r], for M = 0..ends[-1]; an empty window
+    [b+1, b] gives 0. Each mass must reach need (0: no level test). This is
+    the one all-M window-mass sweep: a table's coverage (its dual runs) and
+    ``AcceptanceFamily.masses`` (runs of one M each) both read it.
 
     Inside a run of [a, b] the sweep carries the identity's two terms t(M)
     and u(M) (``_greedy_sweep``): mass += u - t, then one exact
     multiply-divide per term. Where a run starts, t = T(b) and u = T(a-1),
     T(x) = C(M, x) C(N-M-1, n-x-1), step in x to the new endpoints, each
     step adding or dropping one weight. A state with no term to step from
-    (a = 0, or an endpoint below the support) is reseeded from
-    ``interval_weight`` and ``weight``, and a window not inside its support
-    on its whole run is summed at each M. The carried mass must equal
-    ``interval_weight`` after each run at least as long as its window and
-    at the last M; a failure is a program fault (AssertionError).
+    (a = 0, or an endpoint below the support) or an endpoint that moves left
+    is reseeded from ``interval_weight`` and ``weight``, and a window not
+    inside its support on its whole run is summed at each M. M = N, whose
+    support is {n}, is summed too: the terms divide by N - M. The carried
+    mass must equal ``interval_weight`` after each run at least as long as
+    its window and at the last carried M; a failure is a program fault
+    (AssertionError).
     """
     N, n = p.N, p.n
-    total = p.total_weight
-    k = ends[-1]
-    out = []
-    append = out.append  # bound once: the run loop appends at every M
+    k = min(ends[-1], N - 1)  # the last M the carry reaches
     M = a = b = 0
     mass = t = u = None  # [a, b]'s carried state at M; None: reseed it
     for a2, b2, end in zip(lower, upper, ends):
         if a2 < end + n - N or b2 > min(M, n):  # not inside its supports
-            for M in range(M, end + 1):
+            for M in range(M, min(end, k) + 1):
                 mass = interval_weight(M, a2, b2, p)
                 if mass < need:
                     raise AssertionError(f"coverage below level at M={M}: {a2, b2}")
-                append(mass / total)
+                yield mass
             M, mass = end + 1, None
+            if end >= k:
+                break
             continue
         # w(x+1) = T(x) (M-x) r / d and T(x+1) = T(x) (M-x) (n-x-1) / d
         r, s = N - M, N - M - n
+        if mass is not None and (a2 < a or b2 < b):  # a left move: reseed
+            mass = None
         if mass is not None and b2 > b:  # add w(b+1..b2)
             if t:  # else b is below the support
                 for x in range(b, b2):
@@ -348,7 +319,7 @@ def _coverage_sweep(p: Params, lower, upper, ends, need: int) -> tuple:
         for M in range(M + 1, stop + 1):
             if mass < need:
                 raise AssertionError(f"coverage below level at M={M - 1}: {a, b}")
-            append(mass / total)
+            yield mass
             mass += u - t
             r = N - M
             t = t * (M * (tb - M)) // (M - b) // r
@@ -356,11 +327,17 @@ def _coverage_sweep(p: Params, lower, upper, ends, need: int) -> tuple:
         M = stop
         if (end - first >= b - a or M == k) and mass != interval_weight(M, a, b, p):
             raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] ending at M={end})")
-    if mass is not None:  # the last run's last M
+        if end >= k:
+            break
+    if mass is not None:  # the last carried M
         if mass < need:
             raise AssertionError(f"coverage below level at M={k}: {a, b}")
-        append(mass / total)
-    return tuple(out)
+        yield mass
+    if ends[-1] == N:  # M = N, after a run that ends at N or a run of N alone
+        mass = interval_weight(N, lower[-1], upper[-1], p)
+        if mass < need:
+            raise AssertionError(f"coverage below level at M={N}: {lower[-1], upper[-1]}")
+        yield mass
 
 
 def _run_end(p: Params, M: int, a: int, b: int, need: int) -> int:
@@ -437,20 +414,18 @@ def _per_m(ends, *runs) -> tuple:
     return tuple(tuple(chain.from_iterable(map(repeat, values, counts))) for values in runs)
 
 
-def _mirror(p: Params, lower, upper, ends=None) -> tuple:
+def _mirror(p: Params, lower, upper, ends) -> tuple:
     """Run lists (lower, upper, ends) over M = 0..N from half runs over 0..floor(N/2).
 
     M <= N/2 keeps the half's runs; M > N/2 takes the reflection
     a_M = n - b_{N-M}, b_M = n - a_{N-M}: a half run on M1..M2 is mirrored
     onto N-M2..N-M1, and at even N the run that holds N/2 is mirrored
-    without it. ends None: one M per entry, and the full lists are per M.
+    without it. Half runs of one M each give full runs of one M each.
     ``symmetrize``, ``inversion._build_runs`` and certify's ``reflect-level``
     check all reflect through it.
     """
     N, n = p.N, p.n
     k = N // 2
-    if ends is None:
-        ends = range(len(lower))
     if ends[-1] != k:
         raise ValueError(f"expected a half-family over 0..{k}, got one over 0..{ends[-1]}")
     # the runs that start below N/2, the M < N/2 that the upper half mirrors

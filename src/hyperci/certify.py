@@ -202,7 +202,8 @@ def check_instance(t: Tallies, N: int, n: int, alpha: Fraction) -> None:
           None if ok else f"{tag} symmetrized reflection/order/level/length {bad[:3]}")
 
     # the greedy half reflected onto M = 0..N, unshifted
-    bad = below_level(AcceptanceFamily(p, *_mirror(p, half.lower, half.upper)[:2]))
+    reflected = _mirror(p, half.lower, half.upper, range(len(half)))
+    bad = below_level(AcceptanceFamily(p, *reflected[:2]))
     t.hit("reflect-level", 1, None if not bad else f"{tag} M={bad[:3]}")
 
     # inversion: the dual read back from the table equals the family the

@@ -157,14 +157,17 @@ def cmd_certify(args) -> int:
 
 def _parse_int_list(text: str) -> list:
     """Comma list ("10,20,30") or range start:stop[:step] ("10:490:10"), nonempty."""
+    values = []
+    for v in text.split(":" if ":" in text else ","):
+        try:
+            values.append(int(v))
+        except ValueError:
+            raise ValueError(f"list {text!r} has an item {v!r} that is not an integer") from None
     if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        start, stop, step = (parts + [1])[:3]
-        if len(parts) > 3 or step < 1:
+        start, stop, step = (values + [1])[:3]
+        if len(values) > 3 or step < 1:
             raise ValueError(f"list {text!r} is not a range start:stop[:step] with step >= 1")
         values = list(range(start, stop + 1, step))
-    else:
-        values = [int(v) for v in text.split(",")]
     if not values:
         raise ValueError(f"list {text!r} has no values")
     return values

@@ -18,15 +18,16 @@ to ``C(N,n)`` over the support for every M:
   identity (N-M)(W_{M+1}[a,b] - W_M[a,b]) = (n-a+1) w_M(a-1) - (n-b) w_M(b)
   moves a window or tail mass; a carried point that falls below the new
   support's lower end max(0, M+1+n-N) is reseeded from ``weight``.
-  ``carry_window`` is the one window move; its two callers are the greedy
-  sweep (``acceptance._greedy_sweep``) and ``acceptance.interval_masses``,
-  which serves ``adjust``'s level guard and ``AcceptanceFamily.masses``.
-  The greedy sweep does not walk a run of one greedy interval [a, b]: it
-  bisects the run's level end with exact ``interval_weight`` probes.
-  A table's coverage is one sweep of its dual runs
-  (``acceptance._coverage_sweep``), which carries the identity's two terms
-  instead of the weights, t(M) = (n-b) w_M(b)/(N-M) = C(M, b) C(N-M-1, n-b-1)
-  and u(M) = (n-a+1) w_M(a-1)/(N-M) = C(M, a-1) C(N-M-1, n-a): each M is
+  ``carry_window`` is the greedy's window move, and the greedy sweep
+  (``acceptance._greedy_sweep``) is its one caller. The greedy sweep does
+  not walk a run of one greedy interval [a, b]: it bisects the run's level
+  end with exact ``interval_weight`` probes.
+  Every other exact window mass at every M (a table's coverage over its
+  dual runs, ``AcceptanceFamily.masses`` over runs of one M each) comes
+  from one sweep over run lists (``acceptance._window_masses``), which
+  carries the identity's two terms instead of the weights,
+  t(M) = (n-b) w_M(b)/(N-M) = C(M, b) C(N-M-1, n-b-1) and
+  u(M) = (n-a+1) w_M(a-1)/(N-M) = C(M, a-1) C(N-M-1, n-a): each M is
   mass += u - t, one exact multiply-divide per term, and a long run's end
   checks the carried mass against ``interval_weight``.
 """

@@ -13,9 +13,10 @@ and ``_build`` expands its family to per-M lists for certify and tests.
 Coverage at M is the mass of the dual window A(M) = [x_lo(M), x_hi(M)]
 (``invert(fam)`` has dual ``fam``), and coverage(N - M) = coverage(M).
 Every table gets it one way: the first read runs one sweep over the dual
-runs of M = 0..N/2 (``_half_coverage``) and caches the result, which a
-later read looks up. On a table that ``cstar_table`` or ``pivot_table``
-built, the sweep also tests the level exactly at every M.
+runs of M = 0..N/2 (``_half_coverage``, through the one window sweep
+``acceptance._window_masses``) and caches the result, which a later read
+looks up. On a table that ``cstar_table`` or ``pivot_table`` built, the
+sweep also tests the level exactly at every M.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import truediv
 
-from .acceptance import (AcceptanceFamily, _check_support, _coverage_sweep, _greedy_sweep,
-                         _level_need, _mirror, _per_m)
+from .acceptance import (AcceptanceFamily, _check_support, _greedy_sweep, _level_need, _mirror,
+                         _per_m, _window_masses)
 from .core import Params, attains_level, interval_weight
 from .monotonize import _shift, center_interval
 
@@ -76,12 +79,13 @@ class ConfidenceTable:
 
 def invert(fam: AcceptanceFamily, method: Method = Method.CSTAR) -> ConfidenceTable:
     """Confidence table from a full family with nondecreasing endpoints."""
-    return ConfidenceTable(fam.params, method, *_inverse(fam.params, fam.lower, fam.upper))
+    p = fam.params
+    return ConfidenceTable(p, method, *_inverse(p, fam.lower, fam.upper, range(len(fam))))
 
 
-def _inverse(p: Params, a, b, ends=None) -> tuple:
+def _inverse(p: Params, a, b, ends) -> tuple:
     """Endpoint tuples (L, U) inverting the family [a[r], b[r]] on the runs
-    M = ends[r-1]+1..ends[r] that cover M = 0..N (ends None: one M per entry).
+    M = ends[r-1]+1..ends[r] that cover M = 0..N.
 
     L(x) is the first M of the first run with b >= x and U(x) the last M of
     the last run with a <= x: two bisections of the run lists per x.
@@ -91,19 +95,17 @@ def _inverse(p: Params, a, b, ends=None) -> tuple:
     builds a ``ConfidenceTable`` from the rows, which rejects such a row.
     """
     N, n = p.N, p.n
-    # bounds[r] + 1 is the first M of run r and bounds[r + 1] its last
-    bounds = range(-1, len(a)) if ends is None else [-1, *ends]
-    if not len(a) == len(b) == len(bounds) - 1 or bounds[-1] != N:
+    if not len(a) == len(b) == len(ends) or ends[-1] != N:
         raise ValueError("family must cover M = 0..N")
     if list(a) != sorted(a) or list(b) != sorted(b):  # sorting a sorted list is one C pass
         r = next(r for r in range(len(a) - 1) if a[r] > a[r + 1] or b[r] > b[r + 1])
-        raise ValueError(f"family endpoints not nondecreasing at M={bounds[r + 1]}; "
+        raise ValueError(f"family endpoints not nondecreasing at M={ends[r]}; "
                          "inversion would not be interval-valued")
+    # run r starts at ends[r-1] + 1 and run 0 at M = 0; ends is read only at
+    # the n + 1 bisected runs, never copied (it may hold one M per entry)
     xs = range(n + 1)
-    if ends is None:  # one M per entry: the run index is M
-        return tuple([bisect_left(b, x) for x in xs]), tuple([bisect_right(a, x) - 1 for x in xs])
-    return (tuple([bounds[bisect_left(b, x)] + 1 for x in xs]),
-            tuple([bounds[bisect_right(a, x)] for x in xs]))
+    return (tuple([ends[r - 1] + 1 if r else 0 for r in map(bisect_left, repeat(b), xs)]),
+            tuple([ends[r - 1] if r else -1 for r in map(bisect_right, repeat(a), xs)]))
 
 
 def coverage(tbl: ConfidenceTable, M: int) -> float:
@@ -119,15 +121,16 @@ def coverage(tbl: ConfidenceTable, M: int) -> float:
 def _half_coverage(tbl: ConfidenceTable) -> tuple:
     """coverage(tbl, M) at M = 0..N/2; tables are symmetric, so coverage(N - M) = coverage(M).
 
-    One sweep of the dual's runs (``_coverage_sweep``), cached in
-    _coverage; on a table marked _claims_level it tests the level at every
-    M. A concurrent first read at worst sweeps twice.
+    One sweep of the dual's runs (``_window_masses``), each mass over
+    C(N, n) as it streams, cached in _coverage; on a table marked
+    _claims_level it tests the level at every M. A concurrent first read at
+    worst sweeps twice.
     """
     if tbl._coverage is None:
         p = tbl.params
         need = _level_need(p) if tbl._claims_level else 0
-        object.__setattr__(tbl, "_coverage",
-                           _coverage_sweep(p, *_dual_runs(tbl, p.N // 2), need))
+        masses = _window_masses(p, *_dual_runs(tbl, p.N // 2), need)
+        object.__setattr__(tbl, "_coverage", tuple(map(truediv, masses, repeat(p.total_weight))))
     return tbl._coverage
 
 

@@ -10,13 +10,15 @@ Symmetrizing keeps the shifted intervals below N/2, mirrors them above,
 and, for even N, replaces the middle entry by the shortest interval
 [h, n-h] symmetric about n/2 that still holds 1 - alpha mass.
 
-``adjust`` and ``symmetrize`` wrap the list helpers that ``cstar_table``
-runs on runs, one entry per run of M with one interval (per-M lists are
-the case of one M per run; ``inversion._build_runs`` says where that path
-checks each invariant). ``_shift`` works in place and returns the one
-record of what it moved, an ``AdjustmentTrace`` keyed by M;
-``_build_runs`` and ``adjust`` both hand it on, and
-``adjust`` keeps its level and monotonicity checks for outside families.
+``adjust`` and ``symmetrize`` wrap the run-list helpers that
+``cstar_table`` runs, one entry per run of M with one interval; they pass
+their per-M lists as runs of one M each (ends = range(len)).
+``inversion._build_runs`` says where the run path checks each invariant.
+``_shift`` works in place and returns the one record of what it moved,
+an ``AdjustmentTrace`` keyed by M; ``_build_runs`` and ``adjust`` both
+hand it on, and ``adjust`` keeps its level and monotonicity checks for
+outside families. Its level guard reads ``AcceptanceFamily.masses``, the
+one window sweep (``acceptance._window_masses``).
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ class AdjustmentTrace:
     set_upper: dict
 
 
-def _shift(lower, upper, ends=None) -> AdjustmentTrace:
+def _shift(lower, upper, ends) -> AdjustmentTrace:
     """Monotonize run lists in place; returns the shifts it applied, per M.
 
-    Run r is [lower[r], upper[r]] on M = ends[r-1]+1..ends[r] (ends None:
-    one M per entry). The running maximum of the lower endpoints and the
-    backward running minimum of the upper ones take one step per run, and a
-    run's shift applies to each of its M.
+    Run r is [lower[r], upper[r]] on M = ends[r-1]+1..ends[r]. The running
+    maximum of the lower endpoints and the backward running minimum of the
+    upper ones take one step per run, and a run's shift applies to each of
+    its M.
     """
     up, down = {}, {}
     top = lower[0]
@@ -64,11 +66,9 @@ def _shift(lower, upper, ends=None) -> AdjustmentTrace:
             bottom = upper[r]
     if not (up or down):
         return AdjustmentTrace(up, down)
-    raises, drops = up, down
-    if ends is not None:  # each run's shift applies to each of its M
-        raises, drops = ({M: d for r, d in moved.items()
-                          for M in range(ends[r - 1] + 1 if r else 0, ends[r] + 1)}
-                         for moved in (up, down))
+    raises, drops = ({M: d for r, d in moved.items()
+                      for M in range(ends[r - 1] + 1 if r else 0, ends[r] + 1)}
+                     for moved in (up, down))
     overlap = raises.keys() & drops.keys()
     if overlap:
         raise ValueError(
@@ -101,7 +101,7 @@ def adjust(half: AcceptanceFamily) -> tuple:
                 f"interval {half.interval(M)} has mass {mass}/{p.total_weight}"
             )
     new_a, new_b = list(half.lower), list(half.upper)
-    trace = _shift(new_a, new_b)
+    trace = _shift(new_a, new_b, range(len(half)))
     for M in range(len(half) - 1):
         if new_a[M] > new_a[M + 1] or new_b[M] > new_b[M + 1]:
             raise ValueError(
@@ -136,7 +136,8 @@ def symmetrize(adjusted_half: AcceptanceFamily, p: Params) -> AcceptanceFamily:
     """Full symmetric family: keep below N/2, reflect above, center at N/2."""
     if adjusted_half.params != p:
         raise ValueError("family params do not match")
-    lower, upper, _ = _mirror(p, adjusted_half.lower, adjusted_half.upper)
+    lower, upper, _ = _mirror(p, adjusted_half.lower, adjusted_half.upper,
+                              range(len(adjusted_half)))
     if p.N % 2 == 0:
         k = p.N // 2
         lower[k], upper[k] = center_interval(p, adjusted_half.interval(k))

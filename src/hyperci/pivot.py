@@ -151,5 +151,5 @@ def _sweep_table(p: Params) -> ConfidenceTable:
         thresholds.append(x)
     if w != weight(N, x, p) or tail != interval_weight(N, 0, x, p):
         raise AssertionError("carried pivot weights drifted; corrupt kernels")
-    rows = _inverse(p, thresholds, [n - t for t in reversed(thresholds)])
+    rows = _inverse(p, thresholds, [n - t for t in reversed(thresholds)], range(N + 1))
     return _claim_level(ConfidenceTable(p, Method.PIVOT, *rows))

@@ -33,7 +33,7 @@ def intervals(fam):
 
 def reflect_full(half):
     """The half family reflected onto M = 0..N, through the one mirror ``_mirror``."""
-    lower, upper, _ = _mirror(half.params, half.lower, half.upper)
+    lower, upper, _ = _mirror(half.params, half.lower, half.upper, range(len(half)))
     return AcceptanceFamily(half.params, tuple(lower), tuple(upper))
 
 
@@ -258,8 +258,8 @@ def spy_sweep(monkeypatch):
     import hyperci.inversion as inversion
 
     sweeps = []
-    sweep = inversion._coverage_sweep
-    monkeypatch.setattr(inversion, "_coverage_sweep",
+    sweep = inversion._window_masses
+    monkeypatch.setattr(inversion, "_window_masses",
                         lambda p, *rest: sweeps.append(p) or sweep(p, *rest))
     return sweeps
 
@@ -492,16 +492,73 @@ class TestFamilyValidation:
                 break
         p = Params(N, n, 0.1)
         if expected is None:
-            _check_support(p, lower, upper)
+            _check_support(p, lower, upper, range(k))
         else:
             with pytest.raises(ValueError) as exc:
-                _check_support(p, lower, upper)
+                _check_support(p, lower, upper, range(k))
             assert str(exc.value) == expected
 
 
 def oracle_masses(fam):
     p = fam.params
     return [window_mass(prefix_row(M, p), a, b) for M, (a, b) in enumerate(intervals(fam))]
+
+
+def random_runs(data, N, n):
+    """Run lists (lower, upper, ends) over M = 0..last, last = N or below:
+    runs of random length whose endpoints move left and right, mostly
+    inside their supports, some empty, some leaving them."""
+    last = data.draw(st.one_of(st.just(N), st.integers(0, N)))
+    lower, upper, ends = [], [], []
+    M = 0
+    while M <= last:
+        end = min(last, M + data.draw(st.sampled_from((0, 0, 1, 2, 3, 7, 20))))
+        lo, hi = max(0, end + n - N), min(M, n)
+        if lo <= hi and data.draw(st.integers(0, 3)):  # inside its supports
+            a = data.draw(st.integers(lo, hi))
+            b = data.draw(st.integers(a - 1, hi))  # a - 1: the empty window
+        else:
+            a = data.draw(st.integers(-1, n + 1))
+            b = data.draw(st.integers(a - 1, n + 1))
+        lower.append(a)
+        upper.append(b)
+        ends.append(end)
+        M = end + 1
+    return lower, upper, ends
+
+
+def masses_by_run(p, lower, upper, ends):
+    """``interval_weight`` of each run's window at each M of the run."""
+    starts = [0, *[e + 1 for e in ends[:-1]]]
+    return [interval_weight(M, a, b, p) for a, b, first, end in zip(lower, upper, starts, ends)
+            for M in range(first, end + 1)]
+
+
+class TestWindowMasses:
+    """``_window_masses`` on any run family against ``interval_weight``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_interval_weight_on_random_runs(self, data):
+        N = data.draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 200)))
+        n = data.draw(st.integers(1, N))
+        p = Params(N, n, 0.1)
+        runs = random_runs(data, N, n)
+        assert list(acceptance._window_masses(p, *runs, 0)) == masses_by_run(p, *runs)
+
+    # at M = N the support is {n}, and the carry would divide by N - M = 0:
+    # N = 1, a run that ends at N and a run of N alone; then [1, 2] on
+    # M = 2..5 and [0, 1] from M = 6, a left move, where the sweep reseeds
+    @pytest.mark.parametrize("N, n, lower, upper, ends", [
+        (1, 1, [0, 1], [0, 1], [0, 1]),
+        (6, 2, [0, 0, 2], [0, 1, 2], [0, 2, 6]),
+        (6, 2, [0, 1, 2], [0, 1, 2], [0, 5, 6]),
+        (12, 4, [0, 1, 0], [0, 2, 1], [1, 5, 8]),
+    ])
+    def test_fixed_families(self, N, n, lower, upper, ends):
+        p = Params(N, n, 0.1)
+        runs = lower, upper, ends
+        assert list(acceptance._window_masses(p, *runs, 0)) == masses_by_run(p, *runs)
 
 
 class TestMasses:
@@ -531,14 +588,12 @@ class TestMasses:
         fam = AcceptanceFamily(p, tuple(lower), tuple(upper))
         assert fam.masses() == oracle_masses(fam)
 
-    # a doubled step_m, and one that drifts by 0.1%, must fail the sweep's
-    # end check; the family is built before the kernel is corrupted
+    # a doubled weight, and one that drifts by 0.1%, seed wrong terms t and
+    # u, which must fail the sweep's end check; the family is built before
+    # the kernel is corrupted
     @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
     def test_corrupt_kernel_fails_the_end_check(self, monkeypatch, num, den):
-        import hyperci.core as core
-
         fam = acceptance_of(cstar_table(Params(40, 13, 0.2)))
-        step = core.step_m
-        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        monkeypatch.setattr(acceptance, "weight", lambda M, x, p: weight(M, x, p) * num // den)
         with pytest.raises(AssertionError, match="corrupt kernels"):
             fam.masses()

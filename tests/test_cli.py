@@ -407,6 +407,17 @@ class TestCompare:
         assert code == 2 and out == ""
         assert err == f"error: list {text!r} is not a range start:stop[:step] with step >= 1\n"
 
+    # an empty or non-integer item is named with its list, for both list flags
+    @pytest.mark.parametrize("cmd, flag, text, item", [
+        ("compare", "--n-list", ",", ""), ("compare", "--n-list", "10:x", "x"),
+        ("certify", "--N-list", "1,,2", ""),
+    ])
+    def test_bad_item_rejected(self, capsys, cmd, flag, text, item):
+        common = ["--N", "60", "--alpha", "0.1"] if cmd == "compare" else []
+        code, out, err = run(capsys, cmd, *common, flag, text)
+        assert code == 2 and out == ""
+        assert err == f"error: list {text!r} has an item {item!r} that is not an integer\n"
+
     def test_invalid_n_rejected(self, capsys):
         code, _, err = run(
             capsys, "compare", "--N", "60", "--alpha", "0.1", "--n-list", "10,70"

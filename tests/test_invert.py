@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -22,9 +23,9 @@ from hyperci import (
     table_to_csv,
     total_size_diff,
 )
-from hyperci.acceptance import AcceptanceFamily, _mirror, interval_masses
+from hyperci.acceptance import AcceptanceFamily, _mirror
 from hyperci.certify import DEFAULT_ALPHAS
-from hyperci.core import interval_prob
+from hyperci.core import interval_prob, interval_weight
 from hyperci.inversion import ConfidenceTable, _build, _half_coverage, _inverse
 from hyperci.monotonize import _shift, center_interval
 
@@ -241,14 +242,9 @@ class TestCstarComposition:
         sym = symmetrize(adjusted, p)
         assert tbl == invert(sym)
         assert trace == adjust_trace
-        sampled = data.draw(st.lists(st.integers(0, N), min_size=1, max_size=20))
-        # the half M <= N/2 of the symmetrized family, up to the last sampled M
-        masses = dict.fromkeys(min(M, N - M) for M in sampled)
-        for M, mass in zip(range(max(masses) + 1), interval_masses(p, sym.lower, sym.upper)):
-            if M in masses:
-                masses[M] = mass
-        for M in sampled:
-            assert coverage(tbl, M) == masses[min(M, N - M)] / p.total_weight, M
+        for M in data.draw(st.lists(st.integers(0, N), min_size=1, max_size=20)):
+            mass = interval_weight(M, *sym.interval(M), p)
+            assert coverage(tbl, M) == mass / p.total_weight, M
 
     # cstar_table sums again each M of every interval whose endpoints it
     # changed; one slid while _shift reports no shift must be summed again,
@@ -386,7 +382,7 @@ def _check_inverse(p, a, b):
     """``_inverse``'s rows against their definitions and the set form."""
     N, n = p.N, p.n
     AcceptanceFamily(p, tuple(a), tuple(b))  # the family lies in its supports
-    lower, upper = _inverse(p, a, b)
+    lower, upper = _inverse(p, a, b, range(N + 1))
     for x in range(n + 1):
         assert lower[x] == min([M for M in range(N + 1) if b[M] >= x])
         assert upper[x] == max([M for M in range(N + 1) if a[M] <= x])
@@ -559,14 +555,18 @@ class TestStoredCoverage:
                 assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
                 assert [coverage(bare, M) for M in range(N + 1)] == want, (N, n, alpha)
 
-    # on N in the 1e5 range the from-scratch path is slow; the dual's carried
-    # masses over C(N, n) round the same integers
+    # on N in the 1e5 range the from-scratch path is slow at every M; the
+    # dual's masses over C(N, n) round the same integers, and so does the
+    # per-M sum of the dual window at a seeded sample of M
     def test_equals_dual_masses_on_wide_instances(self):
+        rng = random.Random(0)
         for N, n, alpha in WIDE:
             p = Params(N, n, alpha)
             tbl = cstar_table(p)
             want = [m / p.total_weight for m in acceptance_of(tbl).masses()]
             assert [coverage(tbl, M) for M in range(N + 1)] == want, (N, n, alpha)
+            for M in rng.sample(range(N + 1), 300) + [0, N // 2, N]:
+                assert coverage(tbl, M) == dual_coverage(tbl, M), (N, n, alpha, M)
 
     def test_not_compared_hashed_or_printed(self):
         tbl = cstar_table(Params(61, 20, 0.05))

@@ -110,15 +110,16 @@ class TestAdjust:
         with pytest.raises(ValueError, match=f"at M={M}:"):
             adjust(AcceptanceFamily(p, lower, upper))
 
-    # a doubled step drives the carried mass negative, which must not be
-    # reported as a below-level input; a 0.1% error only drifts it
+    # a doubled weight seeds terms that drive the carried mass below the
+    # level, which must not be reported as a below-level input; a 0.1%
+    # error only drifts it
     @pytest.mark.parametrize("num, den", [(2, 1), (1001, 1000)])
     def test_guard_detects_drift_from_a_corrupt_kernel(self, monkeypatch, num, den):
-        import hyperci.core as core
+        import hyperci.acceptance as acceptance
 
         half = amo_half(Params(40, 13, 0.2))  # built before the kernel is corrupted
-        step = core.step_m
-        monkeypatch.setattr(core, "step_m", lambda w, M, x, p: step(w, M, x, p) * num // den)
+        weight = acceptance.weight
+        monkeypatch.setattr(acceptance, "weight", lambda M, x, p: weight(M, x, p) * num // den)
         with pytest.raises(AssertionError, match="corrupt kernels"):
             adjust(half)
 

@@ -163,7 +163,7 @@ class TestPivotInversion:
     def test_failed_inversion_is_an_internal_fault(self, monkeypatch, capsys):
         from hyperci.cli import main
 
-        def broken(p, lower, upper):
+        def broken(p, lower, upper, ends):
             raise ValueError("patched inversion")
 
         monkeypatch.setattr("hyperci.pivot._inverse", broken)

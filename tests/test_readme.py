@@ -5,6 +5,7 @@ from pathlib import Path
 
 from hyperci import coverage
 from hyperci.cli import main
+from hyperci.core import interval_prob
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -39,6 +40,9 @@ def test_library_block_values():
     assert value >= 0.95 and comment.startswith(">= 0.95")
     swept, _ = seen["[m / p.total_weight for m in acceptance_of(tbl).masses()]"]
     assert swept == [coverage(tbl, M) for M in range(501)]
+    # coverage and masses() share one sweep; each dual window summed on its own
+    dual = namespace["acceptance_of"](tbl)
+    assert swept == [interval_prob(M, *dual.interval(M), tbl.params) for M in range(501)]
 
 
 def test_cli_ci_example(capsys):
