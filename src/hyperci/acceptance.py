@@ -21,10 +21,13 @@ only and work one step per run; a per-M caller passes ends = range(len),
 runs of one M each. Where n << N the greedy keeps one interval over
 thousands of M. After ``_RUN_AFTER`` consecutive M on one interval the
 sweep bounds a run by probes (``_run_end``), which prove every per-M
-condition of the greedy but the level on the whole run. The level holds
-on a prefix of the run, found by a bisection of exact probes, so a run
-costs O(log N) probes, not a step per M. Short runs, and every M outside
-a run, take the per-M moves, which stay the reference for runs. The
+condition of the greedy but the level on the whole run: a few bisections
+and one exact ratio test at the run's first M. The level holds on a
+prefix of the run, found by a bisection of exact probes, so a run costs
+O(log N) probes, not a step per M. The sweep jumps to the prefix's last M
+and carries on from there, so every run ends the same way. Short runs,
+and every M outside a run, take the per-M moves, which stay the reference
+for runs. ``_last_true`` is the one bisection loop in the package. The
 sweep returns intervals only.
 
 Every exact all-M window mass comes from one generator, ``_window_masses``,
@@ -147,11 +150,12 @@ def _greedy_sweep(p: Params) -> tuple:
     u(M) = (n-a+1) w_M(a-1) / (N-M) = C(M, a-1) C(N-M-1, n-a), and u/t falls
     as M rises (the monotone likelihood ratio), so the mass is unimodal in
     M. So exact probes (``interval_weight`` >= need), one at stop and else a
-    bisection, find the prefix's last M, end, and the sweep jumps there;
-    the run costs O(log N) probes and no step per M. If end is below stop,
-    the correction moves take over at end + 1, from the run's window
-    reseeded there by ``weight`` and ``interval_weight``. After the last M
-    the carried mass and weights must match them too.
+    bisection, find the prefix's last M, and the sweep jumps there; the run
+    costs O(log N) probes and no step per M. Every run is left the same way:
+    the window is reseeded at that last M from the level probe's sum and
+    ``weight``, and carried to the next M, where the per-M moves correct it
+    as at any M. After the last M the carried mass and weights must match
+    ``interval_weight`` and ``weight`` too.
     """
     N, n = p.N, p.n
     need = _level_need(p)
@@ -227,14 +231,12 @@ def _greedy_sweep(p: Params) -> tuple:
                     raise AssertionError(f"{DRIFTED} (run of [{a}, {b}] starting at M={M})")
                 # P_M([a, b]) is unimodal in M, so the level holds on a prefix of
                 # M..stop: on all of it when it holds at stop, else up to a bisection
-                if interval_weight(stop, a, b, p) >= need:
-                    end = stop
-                else:
-                    end = _last_true(lambda m: interval_weight(m, a, b, p) >= need, M, stop - 1)
-                M = end if end == stop else end + 1
-                w_a, w_b, mass = weight(M, a, p), weight(M, b, p), interval_weight(M, a, b, p)
-                if M > end:  # M is below the level: correct the window reseeded there
-                    continue
+                mass = interval_weight(stop, a, b, p)
+                if mass < need:
+                    stop = _last_true(lambda m: interval_weight(m, a, b, p) >= need, M, stop - 1)
+                    mass = interval_weight(stop, a, b, p)
+                M = stop
+                w_a, w_b = weight(M, a, p), weight(M, b, p)
         if M == k:
             break
         a, b, w_a, w_b, mass = carry_window(M, a, b, w_a, w_b, mass, p)
@@ -350,28 +352,30 @@ def _run_end(p: Params, M: int, a: int, b: int, need: int) -> int:
       likelihood ratio), so it holds on all of M..M2 from M on; no probe.
     - (iii) w(b+1) < w(a): w(b+1) / w(a) rises with M, so it holds on a
       prefix, found by bisection.
-    - (iv) [a+1, b] and [a, b-1] miss the level (mass < need): by the
-      interval-mass identity the mass of [a+1, b] rises while
-      (n-a) w(a) > (n-b) w(b), and that of [a, b-1] while
-      (n-a+1) w(a-1) > (n-b+1) w(b-1), each on a prefix, and then falls. So
-      each misses on the whole range if it misses at its peak clamped to
-      the range, and else on a prefix below the peak.
+    - (iv) [a+1, b] and [a, b-1] miss the level (mass < need). By the
+      interval-mass identity, (N-M) (W_{M+1}[lo, hi] - W_M[lo, hi]) =
+      (n-lo+1) w_M(lo-1) - (n-hi) w_M(hi), and w(hi) / w(lo-1) rises with
+      M, so the mass of a window rises on a prefix of M..M2 and then falls.
+      [a+1, b] misses on the whole range if it misses at its peak clamped
+      to the range, and else on a prefix below the peak, found by bisection.
+      [a, b-1] needs one test, made first: it misses at M, since the moves
+      have just made [a, b] the greedy interval there. If it does not gain
+      mass at M, (n-a+1) w(a-1) <= (n-b+1) w(b-1), it never gains on the
+      range and misses on all of it. Else the bound is M itself, no run
+      starts, and the per-M moves go on as without runs. At a = 0,
+      w(a-1) = 0 and [a, b-1] never gains.
     A weight comparison c_x w(x) > c_y w(y) is tested through the exact
     ratio w(y) / w(x) (``_heavier``), two ``math.perm`` per probe.
     """
     N, n = p.N, p.n
+    if 0 < a < b and _heavier(p, a - 1, b - 1, n - a + 1, n - b + 1)(M):
+        return M
     stop = _last_true(_heavier(p, a, b + 1, 1, 1), M, min(N // 2, N - n))
     if a < b:
-        rising = stop
-        # at a = 0, w(a-1) = 0: the mass of [a, b-1] never rises, and misses from M on
-        for lo, hi in [(a + 1, b), (a, b - 1)] if a else [(a + 1, b)]:
-            # [lo, hi] rises while (n-lo+1) w(lo-1) > (n-hi) w(hi); [a, b-1]
-            # rises only where [a+1, b] does (w(b)/w(a) < w(b-1)/w(a-1) by
-            # log-concavity), so its bisection starts below [a+1, b]'s bound
-            rising = _last_true(_heavier(p, lo - 1, hi, n - lo + 1, n - hi), M, min(rising, stop))
-            peak = min(rising + 1, stop)
-            if interval_weight(peak, lo, hi, p) >= need:
-                stop = _last_true(lambda m: interval_weight(m, lo, hi, p) < need, M, peak)
+        rising = _last_true(_heavier(p, a, b, n - a, n - b), M, stop)
+        peak = min(rising + 1, stop)
+        if interval_weight(peak, a + 1, b, p) >= need:
+            stop = _last_true(lambda m: interval_weight(m, a + 1, b, p) < need, M, peak)
     return stop
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from .acceptance import _last_true
 from .core import Params, interval_weight, step_down, step_m, support, weight
 from .inversion import ConfidenceTable, Method, _claim_level, _inverse
 
@@ -39,14 +40,7 @@ def _upper_end(x: int, p: Params) -> int:
     """U(x), the largest M with P_M(X <= x) > alpha/2, by bisection over M."""
     bar, den = _half_alpha_bar(p)
     # P_M(X <= x) is nonincreasing in M and equals 1 at M = 0
-    lo, hi = 0, p.N
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _lower_tail_weight(mid, x, p) * den > bar:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return _last_true(lambda M: _lower_tail_weight(M, x, p) * den > bar, 0, p.N)
 
 
 def pivot_ci(x: int, p: Params) -> tuple:

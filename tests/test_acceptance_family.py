@@ -224,8 +224,8 @@ class TestGreedyRuns:
             assert (lower[M], upper[M]) == greedy_interval(p, M), M
 
     # most M of a wide build lie in a run: the per-M carry runs only on the
-    # first _RUN_AFTER M of each interval and where runs end (471, 1182 and
-    # 281 of the 50,001, 25,001 and 100,001 M)
+    # first _RUN_AFTER M of each interval and where runs end (479, 1202 and
+    # 287 of the 50,001, 25,001 and 100,001 M)
     def test_wide_instances_take_the_run_path(self, monkeypatch):
         calls = []
         carry = acceptance.carry_window
@@ -251,6 +251,58 @@ class TestGreedyRuns:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and "run of" in err
+
+
+class TestRunProbes:
+    """The exact helpers that every run bound rests on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_heavier_is_the_weight_comparison(self, data):
+        N = data.draw(st.integers(2, 400))
+        n = data.draw(st.integers(1, N // 2))
+        p = Params(N, n, 0.05)
+        m = data.draw(st.integers(n, N - n))  # the support of m is [0, n]
+        x = data.draw(st.integers(0, n))
+        y = data.draw(st.integers(x + 1, n + 1))
+        cx, cy = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
+        want = cx * weight(m, x, p) > cy * weight(m, y, p)
+        assert acceptance._heavier(p, x, y, cx, cy)(m) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_last_true_is_the_linear_scan(self, data):
+        lo = data.draw(st.integers(-50, 50))
+        hi = data.draw(st.integers(lo, lo + 70))
+        true = data.draw(st.integers(0, hi - lo))  # holds on the first `true` of (lo, hi]
+        holds = dict.fromkeys(range(lo + 1, hi + 1), False)
+        holds.update(dict.fromkeys(range(lo + 1, lo + 1 + true), True))
+        scan = lo
+        for m in range(lo + 1, hi + 1):
+            if not holds[m]:
+                break
+            scan = m
+        asked = []
+        assert acceptance._last_true(lambda m: asked.append(m) or holds[m], lo, hi) == scan
+        assert set(asked) <= holds.keys() and len(asked) <= (hi - lo).bit_length()
+
+    # (9, 2, 0.6) at M = 2 with [a, b] = [1, 2] is no greedy state: [1, 1]
+    # misses the level at M = 2 but still gains mass there, and it attains
+    # the level at M = 3, below the bound M = 4 that (iii) and [a+1, b] give.
+    # The one (iv-b) test must end the run at M; without it the bound passes
+    # M = 3, where [a, b] is no longer the shortest window at the level
+    def test_a_shorter_window_that_still_gains_ends_the_run(self, monkeypatch):
+        p = Params(9, 2, 0.6)
+        need = acceptance._level_need(p)
+        assert interval_weight(2, 1, 1, p) < need <= interval_weight(3, 1, 1, p)
+        bound = acceptance._run_end(p, 2, 1, 2, need)
+        heavier = acceptance._heavier
+        # the (iv-b) test is the one _heavier(p, a-1, b-1, n-a+1, n-b+1)
+        monkeypatch.setattr(acceptance, "_heavier", lambda *args: (lambda m: False)
+                            if args[1:] == (0, 1, 2, 1) else heavier(*args))
+        unguarded = acceptance._run_end(p, 2, 1, 2, need)
+        assert bound == 2
+        assert unguarded == 4 > bound
 
 
 def spy_sweep(monkeypatch):
@@ -372,9 +424,10 @@ class TestLazyCoverage:
                     coverage(tbl, 0)
 
     # each run costs a few bisections of exact interval_weight probes: the
-    # level end and _run_end's (iv) bounds, plus the run-start check and the
-    # reseed; the measured counts are 169, 409 and 128 calls, 0.68-0.81 per
-    # run per log2(N) step, so c = 1.5 leaves room but no O(N) term
+    # level end and _run_end's [a+1, b] bound, plus the run-start check and
+    # the level probe at the run's bound; the measured counts are 154, 365
+    # and 122 calls, 0.62-0.77 per run per log2(N) step, so c = 1.5 leaves
+    # room but no O(N) term
     def test_interval_weight_calls_per_run_are_logarithmic(self, monkeypatch):
         import hyperci.inversion as inversion
         import hyperci.monotonize as monotonize
